@@ -29,6 +29,7 @@ import (
 	"mpsocsim/internal/experiments"
 	"mpsocsim/internal/platform"
 	"mpsocsim/internal/profiling"
+	"mpsocsim/internal/sim"
 	"mpsocsim/internal/tracecap"
 )
 
@@ -136,6 +137,14 @@ type Report struct {
 	// (re-probing, a widened span) fails the bench rather than just
 	// slowing it.
 	BisectSteps int `json:"bisect_steps"`
+	// EvalCounts is the kernel's evaluation tally for one reference_platform
+	// run, per clock domain: Eval calls run, Eval calls skipped because the
+	// component slept, and the calls run by components able to sleep
+	// (DESIGN.md §20). It attributes the activity-driven scheduling saving;
+	// SleeperSkippedFrac is the skipped share of the sleep-capable
+	// components' evaluations.
+	EvalCounts         []sim.EvalCount `json:"eval_counts"`
+	SleeperSkippedFrac float64         `json:"sleeper_skipped_frac"`
 }
 
 // referenceBaseline was measured at the seed of this PR (commit 85de9db,
@@ -218,6 +227,22 @@ func main() {
 	}
 
 	run("reference_platform", func() float64 { return float64(refCycles) }, runReference)
+	{
+		s := platform.DefaultSpec()
+		s.WorkloadScale = 0.25
+		p := platform.MustBuild(s)
+		p.Run(experiments.Budget)
+		report.EvalCounts = p.Kernel.EvalCounts()
+		var run, skipped, sleeperRun int64
+		for _, ec := range report.EvalCounts {
+			run += ec.Run
+			skipped += ec.Skipped
+			sleeperRun += ec.SleeperRun
+		}
+		report.SleeperSkippedFrac = float64(skipped) / float64(skipped+sleeperRun)
+		fmt.Printf("%-24s %12d run %10d skipped (%.1f%% of sleep-capable evals)\n",
+			"reference_evals", run, skipped, 100*report.SleeperSkippedFrac)
+	}
 
 	// Instrumentation overheads: the same run with the metrics layer
 	// attached (per-domain gauge samplers and the end-of-run snapshot; the

@@ -216,8 +216,26 @@ type Bridge struct {
 
 	// TargetSide must be registered on the source-fabric clock,
 	// InitiatorSide on the destination-fabric clock.
-	TargetSide    sim.Clocked
-	InitiatorSide sim.Clocked
+	TargetSide    *TargetSide
+	InitiatorSide *InitiatorSide
+}
+
+// TargetSide is the bridge half clocked by the source fabric: it accepts
+// upstream requests into the store-and-forward line, forwards them across
+// the request crossing, and converts and emits upstream responses. It sleeps
+// while all of that is empty (see Quiescent).
+type TargetSide struct {
+	b   *Bridge
+	act sim.Activity
+}
+
+// InitiatorSide is the bridge half clocked by the destination fabric: it
+// re-issues crossed requests downstream after the pipeline latency and
+// sends response beats back across the response crossing. It sleeps while
+// all of that is empty (see Quiescent).
+type InitiatorSide struct {
+	b   *Bridge
+	act sim.Activity
 }
 
 // New builds a bridge between the two clock domains.
@@ -235,8 +253,14 @@ func New(name string, cfg Config, srcClk, dstClk *sim.Clock) *Bridge {
 		byDown: map[*bus.Request]*reqCtx{},
 		perSrc: map[int][]*reqCtx{},
 	}
-	b.TargetSide = &sim.ClockedFunc{OnEval: b.evalTarget, OnUpdate: b.updateTarget}
-	b.InitiatorSide = &sim.ClockedFunc{OnEval: b.evalInitiator, OnUpdate: b.updateInitiator}
+	b.TargetSide = &TargetSide{b: b}
+	b.InitiatorSide = &InitiatorSide{b: b}
+	// Wakes: upstream requests and crossed responses wake the target side;
+	// crossed requests and downstream responses wake the initiator side.
+	b.tport.BindTarget(&b.TargetSide.act)
+	b.respX.SetConsumer(&b.TargetSide.act)
+	b.iport.BindInitiator(&b.InitiatorSide.act)
+	b.reqX.SetConsumer(&b.InitiatorSide.act)
 	return b
 }
 
@@ -286,18 +310,48 @@ func (b *Bridge) InitiatorPort() *bus.InitiatorPort { return b.iport }
 
 // ---- target side (source clock domain) ----
 
-func (b *Bridge) evalTarget() {
+// Eval emits, converts, accepts and forwards at most one item each.
+func (t *TargetSide) Eval() {
+	if t.act.SkipEval() {
+		return
+	}
+	b := t.b
 	b.drainEmitQ()
 	b.convertResponses()
 	b.acceptRequests()
 	b.forwardMatured()
 }
 
-func (b *Bridge) updateTarget() {
+// Update commits the target port and this side's ends of both crossings.
+func (t *TargetSide) Update() {
+	if t.act.SkipUpdate() {
+		return
+	}
+	b := t.b
 	b.tport.Update()
 	b.reqX.WriterUpdate()
 	b.respX.ReaderUpdate()
+	t.act.SelfSleep(t)
 }
+
+// Quiescent reports that nothing waits on the target side: no upstream
+// request queued, no store-and-forward entry, no response crossing back,
+// none being converted or emitted. Transactions still downstream need no
+// evaluation until their response crosses back, which wakes this side.
+func (t *TargetSide) Quiescent() bool {
+	b := t.b
+	return len(b.emitQ) == 0 && len(b.delayLine) == 0 && b.respX.Empty() &&
+		b.tport.Req.Len() == 0 && b.tport.Resp.Len() == 0
+}
+
+// Credit counts the skipped commits of the target port.
+func (t *TargetSide) Credit(_, updates int64) {
+	t.b.tport.Req.Idle(updates)
+	t.b.tport.Resp.Idle(updates)
+}
+
+// Activity returns the target side's sleep record.
+func (t *TargetSide) Activity() *sim.Activity { return &t.act }
 
 // drainEmitQ pushes at most one upstream response beat per cycle.
 func (b *Bridge) drainEmitQ() {
@@ -655,16 +709,44 @@ func (b *Bridge) maybeRelease(ctx *reqCtx) {
 
 // ---- initiator side (destination clock domain) ----
 
-func (b *Bridge) evalInitiator() {
+// Eval issues at most one request downstream and collects at most one
+// response beat.
+func (i *InitiatorSide) Eval() {
+	if i.act.SkipEval() {
+		return
+	}
+	b := i.b
 	b.issueDownstream()
 	b.collectDownstream()
 }
 
-func (b *Bridge) updateInitiator() {
+// Update commits the initiator port and this side's ends of both crossings.
+func (i *InitiatorSide) Update() {
+	if i.act.SkipUpdate() {
+		return
+	}
+	b := i.b
 	b.iport.Update()
 	b.reqX.ReaderUpdate()
 	b.respX.WriterUpdate()
+	i.act.SelfSleep(i)
 }
+
+// Quiescent reports that nothing waits on the initiator side: no request
+// crossing over or held in the latency line, and both port FIFOs empty.
+func (i *InitiatorSide) Quiescent() bool {
+	b := i.b
+	return len(b.held) == 0 && b.reqX.Empty() && b.iport.Req.Len() == 0 && b.iport.Resp.Len() == 0
+}
+
+// Credit counts the skipped commits of the initiator port.
+func (i *InitiatorSide) Credit(_, updates int64) {
+	i.b.iport.Req.Idle(updates)
+	i.b.iport.Resp.Idle(updates)
+}
+
+// Activity returns the initiator side's sleep record.
+func (i *InitiatorSide) Activity() *sim.Activity { return &i.act }
 
 // issueDownstream applies the pipeline latency and pushes requests into the
 // destination fabric.

@@ -93,6 +93,8 @@ func decodeCtxRef(d *snapshot.Decoder, col *attr.Collector) *reqCtx {
 // store-and-forward and latency lines, the ordering queues, the transaction
 // contexts they alias, and the activity counters.
 func (b *Bridge) EncodeState(e *snapshot.Encoder) {
+	b.TargetSide.act.Settle()
+	b.InitiatorSide.act.Settle()
 	e.Tag('G')
 	bus.EncodeTargetPortState(e, b.tport)
 	bus.EncodeInitiatorPortState(e, b.iport)

@@ -27,6 +27,11 @@ type BisectOptions struct {
 	TopFifos int
 	// Workers sizes the paired-advance pool (default 2 — one per variant).
 	Workers int
+	// Prepare, when set, is applied to every platform the search builds or
+	// restores, with its variant (0 = A, 1 = B), before the platform runs:
+	// for variants that differ in how the platform is assembled rather than
+	// in its spec.
+	Prepare func(variant int, p *platform.Platform)
 }
 
 // WindowDelta records an instrument that moved by different amounts across
@@ -204,7 +209,16 @@ func (pr *pair) restore() error {
 		return fmt.Errorf("restore B: %w", err)
 	}
 	pr.pa, pr.pb = pa, pb
+	pr.prepare()
 	return nil
+}
+
+// prepare applies the Prepare hook to both current platforms.
+func (pr *pair) prepare() {
+	if pr.opt.Prepare != nil {
+		pr.opt.Prepare(0, pr.pa)
+		pr.opt.Prepare(1, pr.pb)
+	}
 }
 
 // advance drives both variants to the target central cycle on the runner
@@ -264,6 +278,7 @@ func Bisect(specA, specB platform.Spec, opt BisectOptions) (*BisectResult, error
 	if pr.pb, err = platform.Build(specB); err != nil {
 		return nil, fmt.Errorf("build B: %w", err)
 	}
+	pr.prepare()
 	dg := newDigester(pr.pa, pr.pb)
 
 	res := &BisectResult{

@@ -175,16 +175,6 @@ type agent struct {
 	writesIssued int64
 }
 
-func (a *agent) totalCount() int64 {
-	var n int64
-	for _, p := range a.cfg.Phases {
-		n += p.Count
-	}
-	return n
-}
-
-func (a *agent) done() bool { return a.issued >= a.totalCount() && a.inFlight == 0 }
-
 func (a *agent) currentPhase() *Phase {
 	if a.phase >= len(a.cfg.Phases) {
 		return nil
@@ -193,6 +183,8 @@ func (a *agent) currentPhase() *Phase {
 }
 
 // Generator is the IPTG component: a sim.Clocked initiator owning its port.
+// It is a sim.Sleeper: it sleeps while every agent waits on a response (or
+// has finished) and its port is empty, and a response push wakes it.
 type Generator struct {
 	cfg    Config
 	port   *bus.InitiatorPort
@@ -215,6 +207,13 @@ type Generator struct {
 	// record at final-beat consumption (see UseAttribution).
 	attrCol *attr.Collector
 
+	// act is the generator's sleep record.
+	act sim.Activity
+
+	// total is the transaction count of the whole workload, summed over
+	// every agent's phases once at construction: the generator is done
+	// exactly when completedTotal reaches it.
+	total          int64
 	issuedTotal    int64
 	completedTotal int64
 }
@@ -240,7 +239,11 @@ func New(cfg Config, clk *sim.Clock, ids *bus.IDSource, origin int) (*Generator,
 		a := &agent{cfg: ac, cursor: ac.RegionBase}
 		g.agents = append(g.agents, a)
 		g.byName[ac.Name] = a
+		for _, p := range ac.Phases {
+			g.total += p.Count
+		}
 	}
+	g.port.BindInitiator(&g.act)
 	return g, nil
 }
 
@@ -273,30 +276,16 @@ func (g *Generator) Name() string { return g.cfg.Name }
 func (g *Generator) Origin() int { return g.origin }
 
 // Done reports whether every agent has issued and completed its workload.
-func (g *Generator) Done() bool {
-	for _, a := range g.agents {
-		if !a.done() {
-			return false
-		}
-	}
-	return true
-}
+// An agent never issues past its phases and completes only what it issued,
+// so that is the completed total reaching the workload total.
+func (g *Generator) Done() bool { return g.completedTotal >= g.total }
 
 // Unfinished returns the transactions not yet completed: those still to be
 // issued plus those in flight. It hits zero exactly when Done flips true —
 // the sharded run coordinator uses it to decide how long parallel windows
 // are provably safe (the run cannot drain inside a window while Unfinished
 // exceeds the per-window completion bound).
-func (g *Generator) Unfinished() int64 {
-	var n int64
-	for _, a := range g.agents {
-		if left := a.totalCount() - a.issued; left > 0 {
-			n += left
-		}
-		n += int64(a.inFlight)
-	}
-	return n
-}
+func (g *Generator) Unfinished() int64 { return g.total - g.completedTotal }
 
 // MaxConcurrent returns an upper bound on this generator's simultaneously
 // in-flight transactions (the sum of the agents' outstanding windows).
@@ -310,13 +299,47 @@ func (g *Generator) MaxConcurrent() int64 {
 
 // Eval collects responses and issues at most one new transaction per cycle.
 func (g *Generator) Eval() {
+	if g.act.SkipEval() {
+		return
+	}
 	g.collect()
 	g.tickGaps()
 	g.issue()
 }
 
 // Update commits the port FIFOs.
-func (g *Generator) Update() { g.port.Update() }
+func (g *Generator) Update() {
+	if g.act.SkipUpdate() {
+		return
+	}
+	g.port.Update()
+	g.act.SelfSleep(g)
+}
+
+// Quiescent reports that the port is empty and no agent can act on its own:
+// each has no gap left to count and cannot issue — it has finished, its
+// outstanding window is full, or it waits on its sync agent — so only a
+// response, which wakes the generator, can change anything.
+func (g *Generator) Quiescent() bool {
+	if g.port.Req.Len() != 0 || g.port.Resp.Len() != 0 {
+		return false
+	}
+	for _, a := range g.agents {
+		if a.gapLeft != 0 || g.ready(a) {
+			return false
+		}
+	}
+	return true
+}
+
+// Credit counts the skipped commits of the port FIFOs.
+func (g *Generator) Credit(_, updates int64) {
+	g.port.Req.Idle(updates)
+	g.port.Resp.Idle(updates)
+}
+
+// Activity returns the generator's sleep record.
+func (g *Generator) Activity() *sim.Activity { return &g.act }
 
 func (g *Generator) collect() {
 	for g.port.Resp.CanPop() {

@@ -13,6 +13,7 @@ import (
 // request index (sorted by request ID so the stream is deterministic).
 // Agent configurations are spec-derived; the agent count guards shape.
 func (g *Generator) EncodeState(e *snapshot.Encoder) {
+	g.act.Settle()
 	e.Tag('T')
 	bus.EncodeInitiatorPortState(e, g.port)
 	e.U(g.rng.State())

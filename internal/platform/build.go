@@ -135,6 +135,8 @@ type Platform struct {
 	// wdLastProg to -1 (no observation yet).
 	wdLastProg  int64
 	wdLastCheck int64
+	// drained counts the initiators known to have drained (see pending).
+	drained int
 	// wdCounters holds the counter baseline copied at the last watchdog
 	// observation and wdPrevCounters the one before it (both preallocated in
 	// Build, written in place), so a stall report can show which counters

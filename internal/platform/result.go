@@ -99,22 +99,7 @@ const stallWindow = 200_000
 // fields, so a run split across checkpoint/restore observes progress at
 // exactly the instants an uninterrupted run would.
 func (p *Platform) runSerial(maxPS, stopAtCycle int64) (drained, stalled, paused bool) {
-	pending := func() bool {
-		for _, g := range p.gens {
-			if !g.Done() {
-				return true
-			}
-		}
-		return false
-	}
-	progress := func() int64 {
-		var n int64
-		for _, g := range p.gens {
-			n += g.Issued() + g.Completed()
-		}
-		return n
-	}
-	for pending() {
+	for p.pending() {
 		if stopAtCycle >= 0 && p.CentralClk.Cycles() >= stopAtCycle {
 			return false, false, true
 		}
@@ -126,7 +111,7 @@ func (p *Platform) runSerial(maxPS, stopAtCycle int64) (drained, stalled, paused
 		}
 		p.pollTelemetry()
 		if c := p.CentralClk.Cycles(); c-p.wdLastCheck >= stallWindow {
-			prog := progress()
+			prog := p.progress()
 			if prog == p.wdLastProg {
 				return false, true, false
 			}
@@ -136,6 +121,27 @@ func (p *Platform) runSerial(maxPS, stopAtCycle int64) (drained, stalled, paused
 		}
 	}
 	return true, false, false
+}
+
+// pending reports whether any initiator still has work. Done never flips
+// back, so p.drained counts the initiators already seen drained — a prefix
+// of gens in build order — and each call re-checks only the first initiator
+// past it: O(1) per step instead of a scan of every initiator.
+func (p *Platform) pending() bool {
+	for p.drained < len(p.gens) && p.gens[p.drained].Done() {
+		p.drained++
+	}
+	return p.drained < len(p.gens)
+}
+
+// progress is the stall watchdog's measure: transactions issued plus
+// completed over every initiator, drained or not.
+func (p *Platform) progress() int64 {
+	var n int64
+	for _, g := range p.gens {
+		n += g.Issued() + g.Completed()
+	}
+	return n
 }
 
 // RunToCycle steps the serial platform until the central clock completes at
@@ -153,6 +159,7 @@ func (p *Platform) RunToCycle(cycle, maxPS int64) bool {
 }
 
 func (p *Platform) collect(done bool) Result {
+	p.settle()
 	r := Result{
 		Spec:             p.Spec,
 		Done:             done,

@@ -243,6 +243,16 @@ func (p *Platform) EnableSharding(n int) error {
 	return nil
 }
 
+// settle credits every sleeping component's slept cycles (sim.Kernel.Settle)
+// on the serial kernel and, once sharded, on every shard kernel, so
+// snapshots and results read per-cycle counters exactly.
+func (p *Platform) settle() {
+	p.Kernel.Settle()
+	for _, k := range p.shardKernels {
+		k.Settle()
+	}
+}
+
 // Shards returns the effective shard count (1 until EnableSharding selects
 // more).
 func (p *Platform) Shards() int {
@@ -320,21 +330,6 @@ func (p *Platform) runSharded(maxPS int64) Result {
 	ex := p.newShardExec()
 	defer ex.runner.Close()
 
-	pending := func() bool {
-		for _, g := range p.gens {
-			if !g.Done() {
-				return true
-			}
-		}
-		return false
-	}
-	progress := func() int64 {
-		var n int64
-		for _, g := range p.gens {
-			n += g.Issued() + g.Completed()
-		}
-		return n
-	}
 	unfinished := func() int64 {
 		var n int64
 		for _, g := range p.gens {
@@ -353,14 +348,14 @@ func (p *Platform) runSharded(maxPS int64) Result {
 	done := true
 	stalled := false
 
-	for pending() && unfinished() > p.tailThreshold && ex.next < maxPS {
+	for p.pending() && unfinished() > p.tailThreshold && ex.next < maxPS {
 		ex.window()
 		if p.tele != nil {
 			p.tele.AddWindow()
 		}
 		p.pollTelemetry()
 		if c := p.CentralClk.Cycles(); c-p.wdLastCheck >= stallWindow {
-			if prog := progress(); prog == p.wdLastProg {
+			if prog := p.progress(); prog == p.wdLastProg {
 				done = false
 				stalled = true
 				break
@@ -373,7 +368,7 @@ func (p *Platform) runSharded(maxPS int64) Result {
 	}
 
 	if !stalled {
-		for pending() {
+		for p.pending() {
 			if ex.now >= maxPS {
 				done = false
 				break
@@ -384,7 +379,7 @@ func (p *Platform) runSharded(maxPS int64) Result {
 			}
 			p.pollTelemetry()
 			if c := p.CentralClk.Cycles(); c-p.wdLastCheck >= stallWindow {
-				if prog := progress(); prog == p.wdLastProg {
+				if prog := p.progress(); prog == p.wdLastProg {
 					done = false
 					stalled = true
 					break

@@ -68,6 +68,7 @@ func (p *Platform) Snapshot(w io.Writer) error {
 	if p.samplerAttached {
 		return fmt.Errorf("platform: cannot snapshot with AttachSampler installed (its closure state is not serializable)")
 	}
+	p.settle()
 	e := snapshot.NewEncoder()
 	e.Tag('W')
 	e.U(p.Spec.Fingerprint())

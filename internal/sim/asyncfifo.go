@@ -38,6 +38,9 @@ type AsyncFifo[T any] struct {
 	// staged this writer cycle
 	pending []T
 	npop    int
+
+	// consumer is the reader component's sleep record; Push wakes it.
+	consumer *Activity
 }
 
 type asyncEntry[T any] struct {
@@ -103,7 +106,19 @@ func (f *AsyncFifo[T]) Push(v T) {
 		panic(fmt.Sprintf("sim: push to full async fifo %q", f.name))
 	}
 	f.pending = append(f.pending, v)
+	if a := f.consumer; a != nil && a.asleep {
+		a.Wake()
+	}
 }
+
+// SetConsumer records the reader component's sleep record; every Push wakes
+// it, whatever its clock domain.
+func (f *AsyncFifo[T]) SetConsumer(a *Activity) { f.consumer = a }
+
+// Empty reports whether the FIFO holds nothing, mature or not, committed or
+// staged by the writer. A reader may sleep only on an empty crossing: an
+// entry still maturing would become poppable with no push to wake it.
+func (f *AsyncFifo[T]) Empty() bool { return len(f.cur) == 0 && len(f.pending) == 0 }
 
 // CanPop reports whether a mature entry is available to the reader.
 func (f *AsyncFifo[T]) CanPop() bool {

@@ -37,6 +37,12 @@ import "fmt"
 //
 // RemoveAt breaks the field partition (it rewrites n and shifts committed
 // slots during Eval) and therefore panics on a deferred FIFO.
+//
+// # Wakes
+//
+// SetConsumer wires the sleep record of the component that pops (DESIGN.md
+// §20): every Push wakes it, in time for its Update on the same edge. Ports
+// wire both parties where they are built and attached (internal/bus).
 type Fifo[T any] struct {
 	name  string
 	depth int
@@ -49,6 +55,11 @@ type Fifo[T any] struct {
 	// deferred routes the owner's per-cycle Update to the external
 	// CommitDeferred call of a shard coordinator (see MarkDeferred).
 	deferred bool
+
+	// producer and consumer are the sleep records of the pushing and the
+	// popping component (nil when that party cannot sleep); Push wakes the
+	// consumer.
+	producer, consumer *Activity
 
 	// occupancy statistics (committed state, sampled at Update)
 	cycles      int64
@@ -106,6 +117,30 @@ func (f *Fifo[T]) Push(v T) {
 	}
 	f.buf[f.slot(f.n+f.npush)] = v
 	f.npush++
+	if a := f.consumer; a != nil && a.asleep {
+		a.Wake()
+	}
+}
+
+// SetProducer records the sleep record of the component that pushes. Only
+// MarkDeferred reads it, to pin that party awake.
+func (f *Fifo[T]) SetProducer(a *Activity) { f.producer = a }
+
+// SetConsumer records the sleep record of the component that pops; every
+// Push wakes it.
+func (f *Fifo[T]) SetConsumer(a *Activity) { f.consumer = a }
+
+// Idle credits n cycles in which the owner slept and so did not call
+// Update: the occupancy statistics advance as n commits of an unchanged
+// FIFO would advance them. A sleeping owner's FIFOs hold nothing staged.
+func (f *Fifo[T]) Idle(n int64) {
+	f.cycles += n
+	switch {
+	case f.n >= f.depth:
+		f.fullCycles += n
+	case f.n == 0:
+		f.emptyCycles += n
+	}
 }
 
 // CanPop reports whether a committed entry is available beyond those already
@@ -194,10 +229,19 @@ func (f *Fifo[T]) Update() {
 // documented on the type. Committed entries are fine: n and head are frozen
 // for whole windows either way, so a checkpoint-restored platform (whose
 // boundary FIFOs legitimately hold in-flight traffic) shards safely.
+//
+// Both parties are pinned awake (Activity.Pin) and Push stops waking: the
+// two sides run on different goroutines, so no wake may cross between them.
 func (f *Fifo[T]) MarkDeferred() {
 	if f.npush != 0 || f.npop != 0 {
 		panic(fmt.Sprintf("sim: MarkDeferred on fifo %q with staged operations (npush=%d npop=%d)", f.name, f.npush, f.npop))
 	}
+	for _, a := range [2]*Activity{f.producer, f.consumer} {
+		if a != nil {
+			a.Pin()
+		}
+	}
+	f.consumer = nil
 	f.deferred = true
 }
 

@@ -4,11 +4,17 @@
 // deterministic PRNG.
 //
 // The kernel mirrors the delta-cycle discipline of a SystemC clocked design:
-// on every clock edge all components registered on that clock first Eval()
-// (compute, read current state, stage writes) and then Update() (commit the
-// staged writes). All inter-component communication flows through Fifo or
-// Reg values committed at Update, so a value written in cycle N is visible
-// to readers in cycle N+1 regardless of evaluation order.
+// on every clock edge the awake components registered on that clock first
+// Eval() (compute, read current state, stage writes) and then Update()
+// (commit the staged writes). All inter-component communication flows
+// through Fifo or Reg values committed at Update, so a value written in
+// cycle N is visible to readers in cycle N+1 regardless of evaluation order.
+//
+// Scheduling is activity-driven (DESIGN.md §20): a component implementing
+// Sleeper that reports itself Quiescent after its Update sleeps — the
+// kernel skips its Eval and Update — until a push into one of the FIFOs it
+// consumes wakes it. Every other component is evaluated on every edge of
+// its clock.
 package sim
 
 import (
@@ -18,9 +24,11 @@ import (
 )
 
 // Clocked is implemented by every synchronous component. Eval runs first on
-// each edge of the component's clock and may read current state and stage
-// writes; Update commits staged state. No component may observe another
-// component's staged (pre-Update) state.
+// each edge of the component's clock on which it is awake and may read
+// current state and stage writes; Update commits staged state. No component
+// may observe another component's staged (pre-Update) state, and pushes are
+// staged only in Eval (so the wake a push triggers always lands before the
+// edge's Update phase).
 type Clocked interface {
 	Eval()
 	Update()
@@ -46,16 +54,191 @@ func (c *ClockedFunc) Update() {
 	}
 }
 
-// Clock is a free-running clock domain. Components registered on a clock are
-// ticked on every rising edge, in registration order, first all Eval then
-// all Update.
+// Sleeper is the optional interface of a component that can declare itself
+// idle. After each Update the kernel asks Quiescent; on true the component
+// sleeps: the kernel calls neither its Eval nor its Update until a push into
+// a FIFO wired to its Activity (Fifo.SetConsumer, AsyncFifo.SetConsumer)
+// wakes it, in time for its Update on the pushing edge to commit the push.
+//
+// The contract: Quiescent may return true only if the component's next
+// Eval+Update, with no new input, would change nothing but per-cycle
+// counters (cycle tallies, FIFO occupancy statistics). Credit adds those
+// counters' share of the slept cycles — evals skipped Eval calls and
+// updates skipped Update calls — when the component wakes or is settled
+// (Kernel.Settle). A spurious wake is therefore always correct.
+//
+// A component registered behind a wrapper that hides these methods is not
+// scheduled by the kernel, which calls the wrapper on every edge. It then
+// sleeps on its own: its Update ends with Activity.SelfSleep, and while it
+// sleeps its Eval and Update return at once (Activity.SkipEval,
+// SkipUpdate), the skipped calls being credited at the wake or at the
+// component's own Settle. Pin keeps a component fully awake either way.
+type Sleeper interface {
+	Clocked
+	Quiescent() bool
+	Credit(evals, updates int64)
+	Activity() *Activity
+}
+
+// Activity is a Sleeper's sleep record. The component embeds one and
+// returns it from its Activity method; the FIFOs it consumes point at it,
+// so a push reaches it without a lookup.
+type Activity struct {
+	asleep bool // Eval and Update are skipped
+	pinned bool // never sleeps (see Pin)
+	// A component sleeping on its own (SelfSleep) counts the calls it
+	// skipped until they are credited. They sit next to the flags, which
+	// every call reads.
+	evals, updates int64
+
+	comp  Sleeper // the component, once registered or asleep
+	clk   *Clock  // the clock scheduling its sleep, nil if none
+	idx   int     // the component's slot on clk
+	since int64   // clock cycles completed when the uncredited sleep began
+}
+
+// neverAsleep is the record of every component that cannot sleep. It is
+// only ever read, so kernels on different goroutines share it safely.
+var neverAsleep Activity
+
+// Asleep reports whether the component is sleeping.
+func (a *Activity) Asleep() bool { return a.asleep }
+
+// Wake ends the component's sleep and credits the slept cycles. A wake in
+// the middle of an edge of the component's clock (from a push staged by
+// another component's Eval) skips that edge's Eval but keeps its Update.
+// Waking an awake component does nothing.
+func (a *Activity) Wake() {
+	if !a.asleep {
+		return
+	}
+	a.asleep = false
+	c := a.clk
+	if c == nil {
+		a.creditSkipped()
+		return
+	}
+	c.nAsleep--
+	n := c.cycle - a.since
+	evals := n
+	if c.nextEdge == c.kernel.nowPS {
+		evals++ // mid-edge: this edge's Eval was skipped, its Update will run
+		c.skip[a.idx] = skipEval
+	} else {
+		c.skip[a.idx] = 0
+	}
+	a.comp.Credit(evals, n)
+}
+
+// Settle credits the cycles slept so far without waking the component, so
+// its counters read as if it had been evaluated on every edge. Call it at
+// an edge boundary.
+func (a *Activity) Settle() {
+	if !a.asleep {
+		return
+	}
+	c := a.clk
+	if c == nil {
+		a.creditSkipped()
+		return
+	}
+	if n := c.cycle - a.since; n > 0 {
+		a.since = c.cycle
+		a.comp.Credit(n, n)
+	}
+}
+
+// SelfSleep puts a component the kernel does not schedule (see Sleeper) to
+// sleep when q, the component itself, is quiescent. Call it at the end of
+// Update; for a scheduled component it does nothing, the kernel deciding.
+func (a *Activity) SelfSleep(q Sleeper) {
+	if a.clk == nil && !a.asleep {
+		a.selfSleep(q)
+	}
+}
+
+// selfSleep is kept out of line so that SelfSleep, called by every Update
+// of a scheduled component, inlines to two tests.
+//
+//go:noinline
+func (a *Activity) selfSleep(q Sleeper) {
+	if !a.pinned && q.Quiescent() {
+		a.asleep, a.comp = true, q
+	}
+}
+
+// SkipEval is called first in the Eval of a Sleeper: it reports whether the
+// component sleeps on its own (SelfSleep), counting the skipped call. A
+// scheduled component is never called while it sleeps.
+func (a *Activity) SkipEval() bool {
+	if !a.asleep {
+		return false
+	}
+	a.evals++
+	return true
+}
+
+// SkipUpdate is SkipEval for Update.
+func (a *Activity) SkipUpdate() bool {
+	if !a.asleep {
+		return false
+	}
+	a.updates++
+	return true
+}
+
+// creditSkipped credits the calls skipped while sleeping on its own.
+func (a *Activity) creditSkipped() {
+	if a.evals != 0 || a.updates != 0 {
+		e, u := a.evals, a.updates
+		a.evals, a.updates = 0, 0
+		a.comp.Credit(e, u)
+	}
+}
+
+// Pin wakes the component and keeps it awake for good. Fifo.MarkDeferred
+// pins both parties of a shard-boundary FIFO, so no wake ever has to cross
+// goroutines.
+func (a *Activity) Pin() {
+	a.Wake()
+	a.pinned = true
+}
+
+// slot is one registration: the component and its sleep record
+// (neverAsleep unless it implements Sleeper).
+type slot struct {
+	comp Clocked
+	act  *Activity
+}
+
+// Skip bits of a slot (Clock.skip). A sleeping component skips both calls;
+// one woken in the middle of an edge it slept into skips only that edge's
+// Eval. The bits mirror Activity.asleep in one byte array per clock, so the
+// dispatch loops test a sleeper without touching its memory.
+const (
+	skipEval   = 1
+	skipUpdate = 2
+)
+
+// Clock is a free-running clock domain. The awake components registered on
+// a clock are ticked on every rising edge, in registration order, first all
+// Eval then all Update.
 type Clock struct {
 	name     string
 	periodPS int64
 	nextEdge int64
 	cycle    int64
-	comps    []Clocked
+	comps    []slot
+	skip     []uint8 // skip bits, parallel to comps
 	kernel   *Kernel
+
+	// Activity accounting: registered Sleepers, how many sleep now, and
+	// the per-edge evaluation tallies behind Kernel.EvalCounts.
+	nSleepers    int
+	nAsleep      int
+	evalsRun     int64
+	evalsSkipped int64
+	sleeperEvals int64
 }
 
 // Name returns the clock's name.
@@ -78,14 +261,85 @@ func (c *Clock) Cycles() int64 { return c.cycle }
 // latency attribution) one shared monotonic axis.
 func (c *Clock) NowPS() int64 { return (c.cycle + 1) * c.periodPS }
 
-// Register adds a component to this clock domain. Components are evaluated
-// in registration order; because all communication is through two-phase
-// FIFOs, the order affects only arbitration tie-breaks internal to a single
-// component, never cross-component value propagation.
+// Register adds a component to this clock domain. Awake components are
+// evaluated on every edge in registration order; because all communication
+// is through two-phase FIFOs, the order affects only arbitration tie-breaks
+// internal to a single component, never cross-component value propagation.
+// A component implementing Sleeper may sleep through edges (see Sleeper);
+// it starts awake.
 func (c *Clock) Register(comp Clocked) {
-	c.comps = append(c.comps, comp)
+	s := slot{comp: comp, act: &neverAsleep}
+	if sl, ok := comp.(Sleeper); ok {
+		s.act = sl.Activity()
+		s.act.Wake() // from a sleep of its own, behind a wrapper
+		s.act.comp, s.act.clk, s.act.idx = sl, c, len(c.comps)
+		c.nSleepers++
+	}
+	c.comps = append(c.comps, s)
+	c.skip = append(c.skip, 0)
 	if c.kernel != nil {
 		c.kernel.invalidateSchedule()
+	}
+}
+
+// count tallies the evaluations of the edge about to fire. It runs before
+// any Eval of the edge, when exactly the sleeping components will skip.
+func (c *Clock) count() {
+	c.evalsRun += int64(len(c.comps) - c.nAsleep)
+	c.evalsSkipped += int64(c.nAsleep)
+	c.sleeperEvals += int64(c.nSleepers - c.nAsleep)
+}
+
+// eval runs the Eval phase of the current edge on every component that
+// does not skip it.
+func (c *Clock) eval() {
+	if c.nAsleep == len(c.comps) {
+		return // the whole domain sleeps (a mid-edge wake still skips Eval)
+	}
+	for i, skip := range c.skip {
+		if skip&skipEval == 0 {
+			c.comps[i].comp.Eval()
+		}
+	}
+}
+
+// update runs the Update phase of the current edge — committing every awake
+// component and putting the Quiescent ones to sleep — and completes the
+// edge.
+func (c *Clock) update() {
+	if c.nAsleep < len(c.comps) {
+		c.updateAwake()
+	}
+	c.cycle++
+	c.nextEdge += c.periodPS
+}
+
+// updateAwake calls Update on every component that does not skip it and
+// puts the Quiescent sleepers among them to sleep.
+func (c *Clock) updateAwake() {
+	for i, skip := range c.skip {
+		if skip&skipUpdate != 0 {
+			continue
+		}
+		s := &c.comps[i]
+		s.comp.Update()
+		if a := s.act; a.clk != nil {
+			if !a.pinned && a.comp.Quiescent() {
+				a.asleep = true
+				a.since = c.cycle + 1
+				c.skip[i] = skipEval | skipUpdate
+				c.nAsleep++
+			} else if skip != 0 {
+				c.skip[i] = 0 // the edge a mid-edge wake landed in is over
+			}
+		}
+	}
+}
+
+// settle credits every sleeping component's slept cycles.
+func (c *Clock) settle() {
+	for i := range c.comps {
+		c.comps[i].act.Settle()
 	}
 }
 
@@ -103,8 +357,7 @@ func (c *Clock) NumRegistered() int { return len(c.comps) }
 //
 //  1. single-clock fast path — no min-scan, no grouping at all;
 //  2. hyperperiod schedule — the distinct firing offsets within one
-//     hyperperiod, each with its pre-sorted clock group and a flattened
-//     eval list, stepped by index;
+//     hyperperiod, each with its pre-sorted clock group, stepped by index;
 //  3. generic path — when the hyperperiod would be too long to tabulate
 //     (co-prime periods such as 7519 ps for a quantized 133 MHz clock), a
 //     single min-scan over clocks pre-sorted by name into a reusable
@@ -131,15 +384,13 @@ type Kernel struct {
 }
 
 // edgeGroup is one distinct firing instant within the hyperperiod: the
-// clocks due at base+offset in their deterministic (name-sorted) order, and
-// their components' Eval calls flattened into a single list. Updates are not
-// flattened because the per-clock cycle counters must advance between clock
-// segments exactly as in the generic path (a component's Update may observe
-// another domain's Cycles()).
+// clocks due at base+offset in their deterministic (name-sorted) order. All
+// their Evals run before any Update, and each clock's cycle counter
+// advances right after its own Updates, exactly as in the generic path (a
+// component's Update may observe another domain's Cycles()).
 type edgeGroup struct {
 	offset int64 // firing time relative to the hyperperiod start, in (0, hyper]
 	clocks []*Clock
-	evals  []Clocked
 }
 
 // maxHyperEdges bounds the tabulated schedule size; hyperperiods with more
@@ -261,7 +512,6 @@ func (k *Kernel) buildHyperperiod() {
 				continue
 			}
 			g.clocks = append(g.clocks, c)
-			g.evals = append(g.evals, c.comps...)
 		}
 		groups = append(groups, g)
 	}
@@ -327,14 +577,9 @@ func (k *Kernel) stepBounded(maxPS int64) bool {
 			return false
 		}
 		k.nowPS = c.nextEdge
-		for _, comp := range c.comps {
-			comp.Eval()
-		}
-		for _, comp := range c.comps {
-			comp.Update()
-		}
-		c.cycle++
-		c.nextEdge += c.periodPS
+		c.count()
+		c.eval()
+		c.update()
 		return true
 	case len(k.groups) > 0:
 		g := &k.groups[k.gidx]
@@ -343,15 +588,14 @@ func (k *Kernel) stepBounded(maxPS int64) bool {
 			return false
 		}
 		k.nowPS = next
-		for _, comp := range g.evals {
-			comp.Eval()
+		for _, c := range g.clocks {
+			c.count()
 		}
 		for _, c := range g.clocks {
-			for _, comp := range c.comps {
-				comp.Update()
-			}
-			c.cycle++
-			c.nextEdge += c.periodPS
+			c.eval()
+		}
+		for _, c := range g.clocks {
+			c.update()
 		}
 		k.gidx++
 		if k.gidx == len(k.groups) {
@@ -387,16 +631,13 @@ func (k *Kernel) stepGeneric(maxPS int64) bool {
 	// Tick the group synchronously: all Evals, then all Updates, so
 	// simultaneous edges across domains behave like a single wider domain.
 	for _, c := range k.firing {
-		for _, comp := range c.comps {
-			comp.Eval()
-		}
+		c.count()
 	}
 	for _, c := range k.firing {
-		for _, comp := range c.comps {
-			comp.Update()
-		}
-		c.cycle++
-		c.nextEdge += c.periodPS
+		c.eval()
+	}
+	for _, c := range k.firing {
+		c.update()
 	}
 	return true
 }
@@ -480,16 +721,57 @@ func (k *Kernel) AdoptClock(c *Clock) {
 }
 
 // TakeComponents removes and returns the clock's registered components in
-// registration order. Shard assembly uses it on a clock whose components are
-// split across shards (the central domain): the journal of registrations is
-// then replayed onto the per-shard clocks, preserving relative order.
+// registration order, waking any that sleep and unscheduling them. Shard assembly uses it on a
+// clock whose components are split across shards (the central domain): the
+// journal of registrations is then replayed onto the per-shard clocks,
+// preserving relative order.
 func (c *Clock) TakeComponents() []Clocked {
-	comps := c.comps
-	c.comps = nil
+	comps := make([]Clocked, len(c.comps))
+	for i, s := range c.comps {
+		if s.act.clk != nil {
+			s.act.Wake()
+			s.act.clk = nil
+		}
+		comps[i] = s.comp
+	}
+	c.comps, c.skip = nil, nil
+	c.nSleepers, c.nAsleep = 0, 0
 	if c.kernel != nil {
 		c.kernel.invalidateSchedule()
 	}
 	return comps
+}
+
+// Settle credits every sleeping component's slept cycles without waking it
+// (Activity.Settle), so component counters read exactly as under
+// every-edge evaluation. Call it at an edge boundary before reading
+// per-cycle counters — before a snapshot and before collecting results.
+func (k *Kernel) Settle() {
+	for _, c := range k.clocks {
+		c.settle()
+	}
+}
+
+// EvalCount is one clock domain's tally of component evaluations since the
+// kernel was built (or restored): Eval calls made, Eval calls skipped
+// because the component slept, and the share of the calls made that went to
+// components able to sleep. It measures the simulator, not the simulated
+// chip, and is not part of any snapshot or report.
+type EvalCount struct {
+	Clock      string `json:"clock"`
+	Run        int64  `json:"run"`
+	Skipped    int64  `json:"skipped"`
+	SleeperRun int64  `json:"sleeper_run"`
+}
+
+// EvalCounts returns the evaluation tally of every clock domain, in clock
+// creation order.
+func (k *Kernel) EvalCounts() []EvalCount {
+	out := make([]EvalCount, len(k.clocks))
+	for i, c := range k.clocks {
+		out[i] = EvalCount{Clock: c.name, Run: c.evalsRun, Skipped: c.evalsSkipped, SleeperRun: c.sleeperEvals}
+	}
+	return out
 }
 
 func (k *Kernel) peekNextEdge() int64 {

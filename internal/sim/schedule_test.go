@@ -45,12 +45,18 @@ func expectedEdges(t *testing.T, names []string, periods []int64, steps int) []s
 	return out
 }
 
+// runRecorded steps one recorder per clock, each between two sinks that fall
+// asleep after their first edge, so every tier also dispatches around
+// sleeping components.
 func runRecorded(periods []int64, names []string, steps int) []string {
 	k := NewKernel()
 	var log []string
+	var idle []string // sinks never pop: nothing is pushed to them
 	for i, p := range periods {
 		c := k.NewClockPeriodPS(names[i], p)
+		c.Register(newSink(names[i]+".idle0", c, &idle, nil))
 		c.Register(&recorder{clk: c, name: names[i], log: &log})
+		c.Register(newSink(names[i]+".idle1", c, &idle, nil))
 	}
 	for len(log) < steps {
 		if !k.Step() {
@@ -63,7 +69,8 @@ func runRecorded(periods []int64, names []string, steps int) []string {
 // TestScheduleTiersFireIdenticalEdges pins the tentpole invariant: the
 // tabulated hyperperiod schedule (small LCM) and the generic min-scan path
 // (huge LCM from the 7519 ps quantized-133 MHz period) both reproduce the
-// brute-force edge sequence exactly.
+// brute-force edge sequence exactly, with sleeping components registered
+// around every recorder.
 func TestScheduleTiersFireIdenticalEdges(t *testing.T) {
 	cases := []struct {
 		label   string
@@ -192,6 +199,22 @@ func TestMidRunTopologyChangeInvalidatesSchedule(t *testing.T) {
 	}
 }
 
+// drain is a Sleeper that silently pops its input.
+type drain struct {
+	in  *Fifo[int]
+	act Activity
+}
+
+func (d *drain) Eval() {
+	if d.in.CanPop() {
+		d.in.Pop()
+	}
+}
+func (d *drain) Update()                 { d.in.Update() }
+func (d *drain) Quiescent() bool         { return d.in.Len() == 0 }
+func (d *drain) Credit(_, updates int64) { d.in.Idle(updates) }
+func (d *drain) Activity() *Activity     { return &d.act }
+
 // TestKernelStepZeroAlloc guards the zero-allocation invariant at the kernel
 // level for all three dispatch tiers.
 func TestKernelStepZeroAlloc(t *testing.T) {
@@ -209,6 +232,17 @@ func TestKernelStepZeroAlloc(t *testing.T) {
 			for i, p := range tc.periods {
 				c := k.NewClockPeriodPS(fmt.Sprintf("c%d", i), p)
 				c.Register(&ClockedFunc{OnEval: func() {}})
+				// A sleeper woken by a push every seventh edge: sleeping,
+				// waking and crediting must not allocate either.
+				d := &drain{in: NewFifo[int]("d", 2)}
+				d.in.SetConsumer(&d.act)
+				n := 0
+				c.Register(&ClockedFunc{OnEval: func() {
+					if n++; n%7 == 0 {
+						d.in.Push(n)
+					}
+				}})
+				c.Register(d)
 			}
 			// Warm past the lazy schedule build and the firing-buffer
 			// high-water mark (first simultaneous multi-clock edge).

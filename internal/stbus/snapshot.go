@@ -11,6 +11,7 @@ import (
 // outstanding-transaction accounting and the activity counters. Ports belong
 // to the attached components and are serialized by their owners.
 func (n *Node) EncodeState(e *snapshot.Encoder) {
+	n.act.Settle()
 	e.Tag('S')
 	e.U(uint64(len(n.reqCh)))
 	for t := range n.reqCh {

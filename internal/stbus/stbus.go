@@ -12,7 +12,8 @@
 //   - Type 3: adds shaped packets and out-of-order transaction support;
 //     multiple outstanding, out-of-order delivery allowed.
 //
-// The node is a sim.Clocked. Per cycle, each target's request channel can
+// The node is a sim.Sleeper: it sleeps while it has nothing in flight and
+// nothing queued at its inputs (see Quiescent). Per cycle, each target's request channel can
 // accept one packet (a read request costs one cycle; a write occupies the
 // channel for its data beats) and each initiator's response channel can
 // deliver one beat. Grant hand-over is free (asynchronous grant propagation,
@@ -26,6 +27,7 @@ import (
 	"mpsocsim/internal/attr"
 	"mpsocsim/internal/bus"
 	"mpsocsim/internal/metrics"
+	"mpsocsim/internal/sim"
 )
 
 // Type selects the STBus protocol generation.
@@ -125,6 +127,10 @@ type Node struct {
 	attrNow  func() int64
 	attrHead []bool
 
+	// act is the node's sleep record; the attached ports' request and
+	// response pushes wake it.
+	act sim.Activity
+
 	cycles    int64
 	forwarded int64
 	beatsOut  int64
@@ -151,6 +157,7 @@ func (n *Node) Config() Config { return n.cfg }
 // the node writes into Request.Src for response routing. The port is owned
 // (Updated) by the initiator component, not by the node.
 func (n *Node) AttachInitiator(p *bus.InitiatorPort) int {
+	p.BindFabric(&n.act)
 	n.initiators = append(n.initiators, p)
 	n.respCh = append(n.respCh, respChannel{})
 	n.outstanding = append(n.outstanding, 0)
@@ -162,6 +169,7 @@ func (n *Node) AttachInitiator(p *bus.InitiatorPort) int {
 // AttachTarget connects a target port and returns its index. The port is
 // owned (Updated) by the target component.
 func (n *Node) AttachTarget(p *bus.TargetPort) int {
+	p.BindFabric(&n.act)
 	n.targets = append(n.targets, p)
 	n.reqCh = append(n.reqCh, reqChannel{msgLock: -1})
 	return len(n.targets) - 1
@@ -181,6 +189,9 @@ func (n *Node) EnableAttribution(col *attr.Collector, now func() int64) {
 
 // Eval advances request and response paths one node cycle.
 func (n *Node) Eval() {
+	if n.act.SkipEval() {
+		return
+	}
 	n.cycles++
 	if n.attrCol != nil {
 		n.scanAttrHeads()
@@ -214,7 +225,33 @@ func (n *Node) scanAttrHeads() {
 
 // Update: the node owns no FIFOs (ports are owned by the attached
 // components), so there is nothing to commit.
-func (n *Node) Update() {}
+func (n *Node) Update() { n.act.SelfSleep(n) }
+
+// Quiescent reports that the node has no transfer in flight, no message lock
+// to release and nothing queued, committed or staged, at any input: its next
+// Eval would only count a cycle.
+func (n *Node) Quiescent() bool {
+	for t := range n.reqCh {
+		if ch := &n.reqCh[t]; ch.cur != nil || ch.msgLock >= 0 {
+			return false
+		}
+		if r := n.targets[t].Resp; r.Len() != 0 || r.Staged() != 0 {
+			return false
+		}
+	}
+	for _, ip := range n.initiators {
+		if ip.Req.Len() != 0 || ip.Req.Staged() != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// Credit counts the cycles of skipped evaluations.
+func (n *Node) Credit(evals, _ int64) { n.cycles += evals }
+
+// Activity returns the node's sleep record.
+func (n *Node) Activity() *sim.Activity { return &n.act }
 
 func (n *Node) evalRequestPaths() {
 	for t := range n.targets {
@@ -351,6 +388,18 @@ func (n *Node) arbitrate(t int, ch *reqChannel) int {
 }
 
 func (n *Node) evalResponsePaths() {
+	// Responses pushed this cycle are not poppable yet, so with no target
+	// holding a committed beat no initiator can be served.
+	pending := false
+	for _, tp := range n.targets {
+		if tp.Resp.CanPop() {
+			pending = true
+			break
+		}
+	}
+	if !pending {
+		return
+	}
 	for i := range n.initiators {
 		ch := &n.respCh[i]
 		ip := n.initiators[i]
@@ -442,8 +491,9 @@ func (n *Node) RegisterMetrics(m *metrics.Registry, clock string) {
 	m.GaugeFunc(p+"outstanding", clock, n.totalOutstanding)
 }
 
-// Stats reports node activity.
+// Stats reports node activity, crediting any cycles slept so far.
 func (n *Node) Stats() Stats {
+	n.act.Settle()
 	s := Stats{
 		Cycles:      n.cycles,
 		Forwarded:   n.forwarded,
