@@ -223,19 +223,23 @@ type Bridge struct {
 // TargetSide is the bridge half clocked by the source fabric: it accepts
 // upstream requests into the store-and-forward line, forwards them across
 // the request crossing, and converts and emits upstream responses. It sleeps
-// while all of that is empty (see Quiescent).
+// while all of that is idle or blocked (see Quiescent).
 type TargetSide struct {
 	b   *Bridge
 	act sim.Activity
+	// quiet records that the last Eval moved nothing; blocked that it
+	// counted a blocked acceptance (see Quiescent).
+	quiet, blocked bool
 }
 
 // InitiatorSide is the bridge half clocked by the destination fabric: it
 // re-issues crossed requests downstream after the pipeline latency and
 // sends response beats back across the response crossing. It sleeps while
-// all of that is empty (see Quiescent).
+// all of that is idle or blocked (see Quiescent).
 type InitiatorSide struct {
-	b   *Bridge
-	act sim.Activity
+	b     *Bridge
+	act   sim.Activity
+	quiet bool // the last Eval moved nothing (see Quiescent)
 }
 
 // New builds a bridge between the two clock domains.
@@ -255,12 +259,16 @@ func New(name string, cfg Config, srcClk, dstClk *sim.Clock) *Bridge {
 	}
 	b.TargetSide = &TargetSide{b: b}
 	b.InitiatorSide = &InitiatorSide{b: b}
-	// Wakes: upstream requests and crossed responses wake the target side;
-	// crossed requests and downstream responses wake the initiator side.
-	b.tport.BindTarget(&b.TargetSide.act)
-	b.respX.SetConsumer(&b.TargetSide.act)
-	b.iport.BindInitiator(&b.InitiatorSide.act)
-	b.reqX.SetConsumer(&b.InitiatorSide.act)
+	// Wakes: each side is woken by pushes into what it consumes and pops
+	// from what it produces — its own port and both crossings — and the
+	// target side also by retireWrite, which frees its outstanding window.
+	t, i := &b.TargetSide.act, &b.InitiatorSide.act
+	b.tport.BindTarget(t)
+	b.iport.BindInitiator(i)
+	b.reqX.SetProducer(t)
+	b.reqX.SetConsumer(i)
+	b.respX.SetProducer(i)
+	b.respX.SetConsumer(t)
 	return b
 }
 
@@ -312,73 +320,76 @@ func (b *Bridge) InitiatorPort() *bus.InitiatorPort { return b.iport }
 
 // Eval emits, converts, accepts and forwards at most one item each.
 func (t *TargetSide) Eval() {
-	if t.act.SkipEval() {
-		return
-	}
 	b := t.b
-	b.drainEmitQ()
-	b.convertResponses()
-	b.acceptRequests()
-	b.forwardMatured()
+	emitQuiet := b.drainEmitQ()
+	convQuiet := b.convertResponses()
+	acceptQuiet, blocked := b.acceptRequests()
+	t.quiet = b.forwardMatured() && emitQuiet && convQuiet && acceptQuiet
+	t.blocked = blocked
 }
 
 // Update commits the target port and this side's ends of both crossings.
 func (t *TargetSide) Update() {
-	if t.act.SkipUpdate() {
-		return
-	}
 	b := t.b
 	b.tport.Update()
 	b.reqX.WriterUpdate()
 	b.respX.ReaderUpdate()
-	t.act.SelfSleep(t)
+	t.act.Rest(t)
 }
 
-// Quiescent reports that nothing waits on the target side: no upstream
-// request queued, no store-and-forward entry, no response crossing back,
-// none being converted or emitted. Transactions still downstream need no
-// evaluation until their response crosses back, which wakes this side.
-func (t *TargetSide) Quiescent() bool {
-	b := t.b
-	return len(b.emitQ) == 0 && len(b.delayLine) == 0 && b.respX.Empty() &&
-		b.tport.Req.Len() == 0 && b.tport.Resp.Len() == 0
-}
+// Quiescent reports that the last Eval moved nothing and waits on no timer:
+// the emit queue is empty or blocked on a full upstream response FIFO, no
+// response is crossing back, acceptance has nothing to take or is blocked —
+// by the outstanding window, by a lightweight bridge's read in flight, or
+// by a full store-and-forward line — and the line is empty or its matured
+// head is blocked on a full request crossing. Every later Eval repeats it,
+// counting a blocked acceptance if this one did, until a push, a pop of a
+// full FIFO or a retired write (retireWrite) wakes this side.
+func (t *TargetSide) Quiescent() bool { return t.quiet }
 
-// Credit counts the skipped commits of the target port.
-func (t *TargetSide) Credit(_, updates int64) {
+// Credit counts the skipped commits of the target port and the blocked
+// acceptances of the skipped evaluations.
+func (t *TargetSide) Credit(evals, updates int64) {
 	t.b.tport.Req.Idle(updates)
 	t.b.tport.Resp.Idle(updates)
+	if t.blocked {
+		t.b.blockedCycles += evals
+	}
 }
 
 // Activity returns the target side's sleep record.
 func (t *TargetSide) Activity() *sim.Activity { return &t.act }
 
+// The target-side steps below report whether they moved nothing and wait on
+// no timer (see TargetSide.Quiescent).
+
 // drainEmitQ pushes at most one upstream response beat per cycle.
-func (b *Bridge) drainEmitQ() {
+func (b *Bridge) drainEmitQ() bool {
 	if len(b.emitQ) == 0 || !b.tport.Resp.CanPush() {
-		return
+		return true
 	}
 	beat := b.emitQ[0]
 	n := copy(b.emitQ, b.emitQ[1:])
 	b.emitQ[n] = bus.Beat{}
 	b.emitQ = b.emitQ[:n]
 	b.tport.Resp.Push(beat)
+	return false
 }
 
 // convertResponses turns downstream beats into upstream beats, applying
 // width conversion, at one downstream beat per cycle.
-func (b *Bridge) convertResponses() {
+func (b *Bridge) convertResponses() bool {
 	// keep emitQ bounded so conversion stalls under upstream backpressure
 	if len(b.emitQ) >= 4+b.cfg.DstBytesPerBeat/b.cfg.SrcBytesPerBeat {
-		return
+		return true
 	}
 	if !b.respX.CanPop() {
-		return
+		return b.respX.Empty() // else a beat is maturing in the crossing
 	}
 	beat := b.respX.Pop()
 	ctx := b.byDown[beat.Req]
 	if ctx == nil || !ctx.isRead {
-		return // only read beats cross respX; anything else is stale
+		return false // only read beats cross respX; anything else is stale
 	}
 	src, dst := b.cfg.SrcBytesPerBeat, b.cfg.DstBytesPerBeat
 	switch {
@@ -415,6 +426,7 @@ func (b *Bridge) convertResponses() {
 			b.finishRead(ctx)
 		}
 	}
+	return false
 }
 
 // emitUp produces the next upstream beat of ctx, either directly into the
@@ -544,21 +556,21 @@ func (b *Bridge) drainSrcOrder(src int) {
 }
 
 // acceptRequests pops at most one upstream request per cycle, respecting the
-// blocking/split policy.
-func (b *Bridge) acceptRequests() {
+// blocking/split policy; blocked reports a blocked-cycle count.
+func (b *Bridge) acceptRequests() (quiet, blocked bool) {
 	if !b.tport.Req.CanPop() {
-		return
+		return true, false
 	}
 	if !b.cfg.Split && b.readsInFlight > 0 {
 		b.blockedCycles++
-		return // blocking target side: a read is in flight
+		return true, true // blocking target side: a read is in flight
 	}
 	if b.outstanding >= b.cfg.MaxOutstanding {
 		b.blockedCycles++
-		return
+		return true, true
 	}
 	if len(b.delayLine) >= b.cfg.ReqDepth {
-		return // store-and-forward buffer full
+		return true, false // store-and-forward buffer full
 	}
 	up := b.tport.Req.Pop()
 	if rec := up.Attr; b.attrOn && rec != nil {
@@ -614,17 +626,21 @@ func (b *Bridge) acceptRequests() {
 		}
 	}
 	b.delayLine = append(b.delayLine, delayedReq{ctx: ctx, ready: ready})
+	return false, false
 }
 
 // forwardMatured moves at most one matured store-and-forward entry per cycle
 // into the crossing FIFO.
-func (b *Bridge) forwardMatured() {
+func (b *Bridge) forwardMatured() bool {
 	if len(b.delayLine) == 0 {
-		return
+		return true
 	}
 	head := b.delayLine[0]
-	if head.ready > b.srcClk.Cycles() || !b.reqX.CanPush() {
-		return
+	if head.ready > b.srcClk.Cycles() {
+		return false // still being stored
+	}
+	if !b.reqX.CanPush() {
+		return true
 	}
 	n := copy(b.delayLine, b.delayLine[1:])
 	b.delayLine[n] = delayedReq{}
@@ -633,6 +649,7 @@ func (b *Bridge) forwardMatured() {
 		rec.Enter(attr.PhaseBridgeCDC, b.srcClk.NowPS())
 	}
 	b.reqX.Push(head.ctx)
+	return false
 }
 
 // makeCtx builds the downstream clone with width conversion applied.
@@ -712,32 +729,27 @@ func (b *Bridge) maybeRelease(ctx *reqCtx) {
 // Eval issues at most one request downstream and collects at most one
 // response beat.
 func (i *InitiatorSide) Eval() {
-	if i.act.SkipEval() {
-		return
-	}
 	b := i.b
-	b.issueDownstream()
-	b.collectDownstream()
+	issueQuiet := b.issueDownstream()
+	i.quiet = b.collectDownstream() && issueQuiet
 }
 
 // Update commits the initiator port and this side's ends of both crossings.
 func (i *InitiatorSide) Update() {
-	if i.act.SkipUpdate() {
-		return
-	}
 	b := i.b
 	b.iport.Update()
 	b.reqX.ReaderUpdate()
 	b.respX.WriterUpdate()
-	i.act.SelfSleep(i)
+	i.act.Rest(i)
 }
 
-// Quiescent reports that nothing waits on the initiator side: no request
-// crossing over or held in the latency line, and both port FIFOs empty.
-func (i *InitiatorSide) Quiescent() bool {
-	b := i.b
-	return len(b.held) == 0 && b.reqX.Empty() && b.iport.Req.Len() == 0 && b.iport.Resp.Len() == 0
-}
+// Quiescent reports that the last Eval moved nothing and waits on no timer:
+// the latency line is empty or its matured head is blocked on a full
+// downstream request FIFO, no request is crossing over (or the line has no
+// room for one), and no response beat is waiting or it is blocked on a full
+// response crossing. Requests already in the port may wait to be popped:
+// the pop wakes this side to commit it.
+func (i *InitiatorSide) Quiescent() bool { return i.quiet }
 
 // Credit counts the skipped commits of the initiator port.
 func (i *InitiatorSide) Credit(_, updates int64) {
@@ -748,23 +760,35 @@ func (i *InitiatorSide) Credit(_, updates int64) {
 // Activity returns the initiator side's sleep record.
 func (i *InitiatorSide) Activity() *sim.Activity { return &i.act }
 
+// The initiator-side steps below report whether they moved nothing and wait
+// on no timer (see InitiatorSide.Quiescent).
+
 // issueDownstream applies the pipeline latency and pushes requests into the
 // destination fabric.
-func (b *Bridge) issueDownstream() {
+func (b *Bridge) issueDownstream() bool {
+	quiet := true
 	// move one matured crossing entry into the latency line
-	if b.reqX.CanPop() && len(b.held) < b.cfg.ReqDepth {
-		ctx := b.reqX.Pop()
-		if rec := ctx.down.Attr; b.attrOn && rec != nil {
-			rec.Enter(attr.PhaseBridgeIssue, b.dstClk.NowPS())
+	if len(b.held) < b.cfg.ReqDepth {
+		if b.reqX.CanPop() {
+			ctx := b.reqX.Pop()
+			if rec := ctx.down.Attr; b.attrOn && rec != nil {
+				rec.Enter(attr.PhaseBridgeIssue, b.dstClk.NowPS())
+			}
+			b.held = append(b.held, heldReq{ctx: ctx, ready: b.dstClk.Cycles() + int64(b.cfg.Latency)})
+			quiet = false
+		} else if !b.reqX.Empty() {
+			quiet = false // an entry is maturing in the crossing
 		}
-		b.held = append(b.held, heldReq{ctx: ctx, ready: b.dstClk.Cycles() + int64(b.cfg.Latency)})
 	}
 	if len(b.held) == 0 {
-		return
+		return quiet
 	}
 	head := b.held[0]
-	if head.ready > b.dstClk.Cycles() || !b.iport.Req.CanPush() {
-		return
+	if head.ready > b.dstClk.Cycles() {
+		return false // latency line counting down
+	}
+	if !b.iport.Req.CanPush() {
+		return quiet
 	}
 	n := copy(b.held, b.held[1:])
 	b.held[n] = heldReq{}
@@ -777,14 +801,15 @@ func (b *Bridge) issueDownstream() {
 		// posted write: nothing will come back; retire now
 		b.retireWrite(head.ctx, true)
 	}
+	return false
 }
 
 // collectDownstream pops response beats from the destination fabric: read
 // beats cross back through respX; write acks are swallowed (the upstream ack
 // was already emitted at store-and-forward acceptance).
-func (b *Bridge) collectDownstream() {
+func (b *Bridge) collectDownstream() bool {
 	if !b.iport.Resp.CanPop() {
-		return
+		return true
 	}
 	beat := b.iport.Resp.Peek()
 	if beat.Req.Op == bus.OpWrite {
@@ -792,13 +817,14 @@ func (b *Bridge) collectDownstream() {
 		if ctx := b.byDown[beat.Req]; ctx != nil {
 			b.retireWrite(ctx, false)
 		}
-		return
+		return false
 	}
 	if !b.respX.CanPush() {
-		return
+		return true
 	}
 	b.iport.Resp.Pop()
 	b.respX.Push(beat)
+	return false
 }
 
 // retireWrite takes a write out of the bridge's accounting. postedForward
@@ -814,6 +840,11 @@ func (b *Bridge) retireWrite(ctx *reqCtx, postedForward bool) {
 	}
 	ctx.retired = true
 	if b.outstanding > 0 {
+		if b.outstanding >= b.cfg.MaxOutstanding {
+			// A full window blocks acceptance on the target side, which
+			// shares no FIFO with this one: the freed slot wakes it.
+			b.TargetSide.act.Wake()
+		}
 		b.outstanding--
 	}
 	delete(b.byDown, ctx.down)

@@ -41,3 +41,58 @@ func TestSideSleepContract(t *testing.T) {
 		})
 	}
 }
+
+// TestBlockedSideSleepContract checks the sleep contract in the two
+// backpressure states of a split bridge: the initiator side with its
+// matured head blocked on a full downstream request FIFO (reads into a
+// slow memory), and the target side with acceptance blocked by a full
+// outstanding window (non-posted writes), which retireWrite wakes; the
+// blocked cycles of its slept edges are credited.
+func TestBlockedSideSleepContract(t *testing.T) {
+	cases := map[string]struct {
+		cfg      func() Config
+		req      func(id, addr uint64) *bus.Request
+		sleeping func(b *Bridge) bool
+	}{
+		"initiator-full-port": {
+			cfg: func() Config { return GenConv(1) },
+			req: func(id, addr uint64) *bus.Request { return rd(id, addr, 4) },
+			sleeping: func(b *Bridge) bool {
+				return b.InitiatorSide.act.Asleep() && len(b.held) > 0 && !b.iport.Req.CanPush()
+			},
+		},
+		"target-outstanding-window": {
+			cfg: func() Config {
+				c := GenConv(1)
+				c.MaxOutstanding = 2
+				return c
+			},
+			req: func(id, addr uint64) *bus.Request { return wrn(id, addr, 2) },
+			sleeping: func(b *Bridge) bool {
+				return b.TargetSide.act.Asleep() && b.outstanding >= b.cfg.MaxOutstanding && b.tport.Req.CanPop()
+			},
+		},
+	}
+	for name, tc := range cases {
+		t.Run(name, func(t *testing.T) {
+			build := func() *testutil.Rig {
+				var script []*bus.Request
+				for j := 0; j < 16; j++ {
+					script = append(script, tc.req(uint64(j+1), uint64(j)<<6))
+				}
+				c := newChain(t, tc.cfg(), 250, 250, mem.Config{WaitStates: 20, ReqDepth: 1, RespDepth: 4}, script)
+				return &testutil.Rig{
+					Kernel: c.k,
+					Comps:  []sim.Sleeper{c.br.TargetSide, c.br.InitiatorSide},
+					Clocks: []*sim.Clock{c.srcClk, c.dstClk},
+					Encode: c.br.EncodeState,
+					// Writes are acknowledged upstream at acceptance, so
+					// the bridge drains after the initiator.
+					Done:     func() bool { return c.ini.Done() && c.br.Outstanding() == 0 },
+					Sleeping: func() bool { return tc.sleeping(c.br) },
+				}
+			}
+			testutil.CheckSleepContract(t, 4, 100_000, build)
+		})
+	}
+}

@@ -191,29 +191,30 @@ type TargetPort struct {
 }
 
 // BindInitiator wires the initiator's sleep record into the port: the
-// initiator pushes requests and pops response beats, so a response push
-// wakes it. Owners call it where they build the port.
+// initiator pushes requests and pops response beats, so a response push or
+// a request pop wakes it. Owners call it where they build the port.
 func (p *InitiatorPort) BindInitiator(a *sim.Activity) {
 	p.Req.SetProducer(a)
 	p.Resp.SetConsumer(a)
 }
 
 // BindFabric wires the fabric's sleep record into the port: a request push
-// wakes the fabric. Fabrics call it in AttachInitiator.
+// or a response pop wakes the fabric. Fabrics call it in AttachInitiator.
 func (p *InitiatorPort) BindFabric(a *sim.Activity) {
 	p.Req.SetConsumer(a)
 	p.Resp.SetProducer(a)
 }
 
 // BindTarget wires the target's sleep record into the port: a request push
-// wakes the target. Owners call it where they build the port.
+// or a response pop wakes the target. Owners call it where they build the
+// port.
 func (p *TargetPort) BindTarget(a *sim.Activity) {
 	p.Req.SetConsumer(a)
 	p.Resp.SetProducer(a)
 }
 
 // BindFabric wires the fabric's sleep record into the port: a response push
-// wakes the fabric. Fabrics call it in AttachTarget.
+// or a request pop wakes the fabric. Fabrics call it in AttachTarget.
 func (p *TargetPort) BindFabric(a *sim.Activity) {
 	p.Req.SetProducer(a)
 	p.Resp.SetConsumer(a)

@@ -49,7 +49,9 @@ type pendingOp struct {
 	addr  uint64
 }
 
-// Core is the VLIW ISS; a sim.Clocked initiator owning its bus port.
+// Core is the VLIW ISS; a sim.Clocked initiator owning its bus port. It is
+// a sim.Sleeper: it sleeps once halted and while it stalls on a refill (see
+// Quiescent).
 type Core struct {
 	cfg    Config
 	port   *bus.InitiatorPort
@@ -87,6 +89,11 @@ type Core struct {
 	wbAddr     uint64
 	needRefill bool
 
+	// act is the core's sleep record; quiet records that the last Eval
+	// found the core halted, or stalled on a refill with no beat to take.
+	act   sim.Activity
+	quiet bool
+
 	// statistics
 	cycles      int64
 	stallCycles int64
@@ -120,7 +127,7 @@ func New(cfg Config, prog Program, clk *sim.Clock, ids *bus.IDSource, origin int
 	if err != nil {
 		return nil, err
 	}
-	return &Core{
+	c := &Core{
 		cfg:    cfg,
 		port:   bus.NewInitiatorPort(cfg.Name, cfg.PortReqDepth, cfg.PortRespDepth),
 		clk:    clk,
@@ -129,7 +136,9 @@ func New(cfg Config, prog Program, clk *sim.Clock, ids *bus.IDSource, origin int
 		prog:   prog,
 		icache: ic,
 		dcache: dc,
-	}, nil
+	}
+	c.port.BindInitiator(&c.act)
+	return c, nil
 }
 
 // MustNew is New that panics on error.
@@ -164,13 +173,15 @@ func (c *Core) Reg(i int) int64 { return c.regs[i] }
 
 // Eval advances the core one cycle.
 func (c *Core) Eval() {
+	c.quiet = c.halted
 	if c.halted {
 		return
 	}
 	c.cycles++
-	c.collectRefill()
+	collected := c.collectRefill()
 	if c.refillWait {
 		c.stallCycles++
+		c.quiet = !collected
 		return
 	}
 	if !c.fetchDone {
@@ -191,11 +202,37 @@ func (c *Core) Eval() {
 }
 
 // Update commits the port FIFOs.
-func (c *Core) Update() { c.port.Update() }
+func (c *Core) Update() {
+	c.port.Update()
+	c.act.Rest(c)
+}
 
-// collectRefill consumes response beats; the refill completes on Last.
-func (c *Core) collectRefill() {
+// Quiescent reports that the last Eval found the core halted, or stalled on
+// a refill with no response beat to take. Until a beat arrives (its push
+// wakes the core) every later Eval repeats it: nothing, or one cycle and
+// one stall cycle.
+func (c *Core) Quiescent() bool { return c.quiet }
+
+// Credit counts the skipped commits of the port FIFOs and the stall cycles
+// of the skipped evaluations.
+func (c *Core) Credit(evals, updates int64) {
+	c.port.Req.Idle(updates)
+	c.port.Resp.Idle(updates)
+	if !c.halted {
+		c.cycles += evals
+		c.stallCycles += evals
+	}
+}
+
+// Activity returns the core's sleep record.
+func (c *Core) Activity() *sim.Activity { return &c.act }
+
+// collectRefill consumes response beats, reporting whether there was one;
+// the refill completes on Last.
+func (c *Core) collectRefill() bool {
+	popped := false
 	for c.port.Resp.CanPop() {
+		popped = true
 		beat := c.port.Resp.Pop()
 		if beat.Last && beat.Req.ID == c.refillID {
 			c.refillWait = false
@@ -209,6 +246,7 @@ func (c *Core) collectRefill() {
 			c.pool.Put(beat.Req)
 		}
 	}
+	return popped
 }
 
 // fetch looks the current bundle up in the I-cache; a miss issues a line
@@ -422,8 +460,9 @@ func (c *Core) RegisterMetrics(m *metrics.Registry, clock string) {
 	})
 }
 
-// Stats reports core activity.
+// Stats reports core activity, crediting any cycles slept so far.
 func (c *Core) Stats() Stats {
+	c.act.Settle()
 	return Stats{
 		Cycles:      c.cycles,
 		StallCycles: c.stallCycles,

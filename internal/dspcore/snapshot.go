@@ -73,6 +73,7 @@ func decodeCacheState(d *snapshot.Decoder, c *cache) {
 // port, architectural registers, both cache arrays, the pipeline micro-state
 // and the counters. The program is spec-derived.
 func (c *Core) EncodeState(e *snapshot.Encoder) {
+	c.act.Settle()
 	e.Tag('V')
 	bus.EncodeInitiatorPortState(e, c.port)
 	for i := range c.regs {

@@ -183,8 +183,9 @@ func (a *agent) currentPhase() *Phase {
 }
 
 // Generator is the IPTG component: a sim.Clocked initiator owning its port.
-// It is a sim.Sleeper: it sleeps while every agent waits on a response (or
-// has finished) and its port is empty, and a response push wakes it.
+// It is a sim.Sleeper: it sleeps while its request FIFO is full or no agent
+// can issue on its own (see Quiescent); a response push or a request pop
+// wakes it.
 type Generator struct {
 	cfg    Config
 	port   *bus.InitiatorPort
@@ -207,8 +208,10 @@ type Generator struct {
 	// record at final-beat consumption (see UseAttribution).
 	attrCol *attr.Collector
 
-	// act is the generator's sleep record.
-	act sim.Activity
+	// act is the generator's sleep record; quiet records that the last
+	// Eval collected nothing and could not issue (see Quiescent).
+	act   sim.Activity
+	quiet bool
 
 	// total is the transaction count of the whole workload, summed over
 	// every agent's phases once at construction: the generator is done
@@ -299,50 +302,44 @@ func (g *Generator) MaxConcurrent() int64 {
 
 // Eval collects responses and issues at most one new transaction per cycle.
 func (g *Generator) Eval() {
-	if g.act.SkipEval() {
-		return
-	}
-	g.collect()
+	collected := g.collect()
 	g.tickGaps()
-	g.issue()
+	g.quiet = g.issue() && !collected
 }
 
 // Update commits the port FIFOs.
 func (g *Generator) Update() {
-	if g.act.SkipUpdate() {
-		return
-	}
 	g.port.Update()
-	g.act.SelfSleep(g)
+	g.act.Rest(g)
 }
 
-// Quiescent reports that the port is empty and no agent can act on its own:
-// each has no gap left to count and cannot issue — it has finished, its
-// outstanding window is full, or it waits on its sync agent — so only a
-// response, which wakes the generator, can change anything.
-func (g *Generator) Quiescent() bool {
-	if g.port.Req.Len() != 0 || g.port.Resp.Len() != 0 {
-		return false
-	}
-	for _, a := range g.agents {
-		if a.gapLeft != 0 || g.ready(a) {
-			return false
-		}
-	}
-	return true
-}
+// Quiescent reports that the last Eval collected no response and issued
+// nothing, because the request FIFO was full or because no agent was ready
+// and none had a gap left to count — every agent finished, its outstanding
+// window full or waiting on its sync agent. Until a response push or a
+// request pop wakes the generator, later Evals only count gaps down, which
+// Credit does in closed form.
+func (g *Generator) Quiescent() bool { return g.quiet }
 
-// Credit counts the skipped commits of the port FIFOs.
-func (g *Generator) Credit(_, updates int64) {
+// Credit counts the skipped commits of the port FIFOs and the gap cycles of
+// the skipped evaluations.
+func (g *Generator) Credit(evals, updates int64) {
 	g.port.Req.Idle(updates)
 	g.port.Resp.Idle(updates)
+	for _, a := range g.agents {
+		a.gapLeft = max(a.gapLeft-evals, 0)
+	}
 }
 
 // Activity returns the generator's sleep record.
 func (g *Generator) Activity() *sim.Activity { return &g.act }
 
-func (g *Generator) collect() {
+// collect consumes every committed response beat and reports whether there
+// was one.
+func (g *Generator) collect() bool {
+	popped := false
 	for g.port.Resp.CanPop() {
+		popped = true
 		beat := g.port.Resp.Pop()
 		if !beat.Last {
 			continue
@@ -366,6 +363,7 @@ func (g *Generator) collect() {
 		// beat is its final reference: recycle it.
 		g.pool.Put(beat.Req)
 	}
+	return popped
 }
 
 func (g *Generator) tickGaps() {
@@ -394,9 +392,13 @@ func (g *Generator) ready(a *agent) bool {
 	return true
 }
 
-func (g *Generator) issue() {
+// issue issues from the next ready agent in round-robin order, at most one
+// transaction per cycle. It reports whether the generator cannot change on
+// its own before a wake: the request FIFO is full, or no agent is ready and
+// no gap is counting down.
+func (g *Generator) issue() bool {
 	if !g.port.Req.CanPush() {
-		return
+		return true
 	}
 	n := len(g.agents)
 	for k := 0; k < n; k++ {
@@ -406,8 +408,14 @@ func (g *Generator) issue() {
 		}
 		g.rr = (g.rr + k + 1) % n
 		g.issueFrom(a)
-		return
+		return false
 	}
+	for _, a := range g.agents {
+		if a.gapLeft > 0 {
+			return false
+		}
+	}
+	return true
 }
 
 func (g *Generator) issueFrom(a *agent) {

@@ -32,6 +32,18 @@ const (
 	stateNonEmpty = "nonempty"
 )
 
+// Tracker state indices, in the order newMonitor names the states.
+const (
+	idxFull = iota
+	idxStoring
+	idxNoRequest
+)
+
+const (
+	idxEmpty = iota
+	idxNonEmpty
+)
+
 func newMonitor(window int64) *Monitor {
 	return &Monitor{
 		phases: stats.NewPhaseTracker(window, StateFull, StateStoring, StateNoRequest),
@@ -44,16 +56,16 @@ func newMonitor(window int64) *Monitor {
 func (m *Monitor) sample(q *bus.Queue) {
 	switch {
 	case q.Len() >= q.Depth():
-		m.phases.Observe(StateFull)
+		m.phases.ObserveIndex(idxFull)
 	case q.Staged() > 0:
-		m.phases.Observe(StateStoring)
+		m.phases.ObserveIndex(idxStoring)
 	default:
-		m.phases.Observe(StateNoRequest)
+		m.phases.ObserveIndex(idxNoRequest)
 	}
 	if q.Len() == 0 {
-		m.empty.Observe(stateEmpty)
+		m.empty.ObserveIndex(idxEmpty)
 	} else {
-		m.empty.Observe(stateNonEmpty)
+		m.empty.ObserveIndex(idxNonEmpty)
 	}
 }
 

@@ -25,6 +25,7 @@ type ObservableState struct {
 // at a RunToCycle pause, or after the run drains. Allocates; not for the
 // per-cycle hot path.
 func (p *Platform) Observable() ObservableState {
+	p.settle()
 	st := ObservableState{
 		Cycle:  p.CentralClk.Cycles(),
 		TimePS: p.Kernel.Now(),

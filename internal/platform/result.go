@@ -149,12 +149,14 @@ func (p *Platform) progress() int64 {
 // quiescent instant to call Snapshot at. It returns true when the run paused
 // with work remaining; false means the workload drained, the budget ran out
 // or the watchdog fired before the checkpoint instant (finish with Run). Not
-// supported on a sharded platform.
+// supported on a sharded platform. Sleeping components are settled at the
+// pause, so the metrics registry reads exactly.
 func (p *Platform) RunToCycle(cycle, maxPS int64) bool {
 	if p.sharded {
 		panic("platform: RunToCycle requires serial mode (checkpoint before EnableSharding)")
 	}
 	_, _, paused := p.runSerial(maxPS, cycle)
+	p.settle()
 	return paused
 }
 

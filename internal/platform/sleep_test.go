@@ -8,6 +8,7 @@ import (
 	"mpsocsim/internal/diff"
 	"mpsocsim/internal/platform"
 	"mpsocsim/internal/sim"
+	"mpsocsim/internal/telemetry"
 )
 
 // keepAwake pins every sleep-capable component of the platform awake: the
@@ -29,8 +30,8 @@ func keepAwake(p *platform.Platform) {
 type hidden struct{ sim.Clocked }
 
 // hideSleep re-registers every component behind hidden, in registration
-// order, as perfbench's traced probes do: the kernel no longer schedules
-// any sleep, so the components sleep on their own (sim.Activity.SelfSleep).
+// order, as perfbench's traced probes do: the components then sleep in the
+// wrappers' slots.
 func hideSleep(p *platform.Platform) {
 	for _, clk := range p.Kernel.Clocks() {
 		for _, c := range clk.TakeComponents() {
@@ -58,27 +59,37 @@ func equivSpecs() map[string]platform.Spec {
 }
 
 // TestSleepingMatchesAwake runs each spec three times in lockstep — as
-// built, with the kernel putting idle components to sleep; with every
-// component behind a wrapper that hides its Sleeper methods, so components
-// sleep on their own; and with every component pinned awake — and requires
+// built, with idle and blocked components sleeping; with every component
+// behind a wrapper that hides its Sleeper methods, so components sleep in
+// the wrappers' slots; and with every component pinned awake — and requires
 // byte-identical snapshots every 1024 central cycles and byte-identical
-// final reports. On a mismatch the snapshot bisection localizes the first
-// divergent cycle against the awake run.
+// final reports. The I/O spec also runs with attribution and telemetry on,
+// and its telemetry streams must be byte-identical too. On a mismatch the
+// snapshot bisection localizes the first divergent cycle against the awake
+// run.
 func TestSleepingMatchesAwake(t *testing.T) {
 	const every, budget = 1024, 5e12
 	for name, spec := range equivSpecs() {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			pa := platform.MustBuild(spec)
+			build := func() *platform.Platform {
+				p := platform.MustBuild(spec)
+				if spec.IO.Enable {
+					p.EnableAttribution(0)
+					p.EnableTelemetry(256, 1<<14)
+				}
+				return p
+			}
+			pa := build()
 			keepAwake(pa)
-			ps := platform.MustBuild(spec)
-			ph := platform.MustBuild(spec)
+			ps := build()
+			ph := build()
 			hideSleep(ph)
 			runs := []struct {
 				name string
 				p    *platform.Platform
 				prep func(*platform.Platform)
-			}{{"kernel-slept", ps, func(*platform.Platform) {}}, {"self-slept", ph, hideSleep}}
+			}{{"kernel-slept", ps, func(*platform.Platform) {}}, {"wrapper-slept", ph, hideSleep}}
 			bisect := func(what string, prep func(*platform.Platform)) {
 				res, err := diff.Bisect(spec, spec, diff.BisectOptions{
 					GridEvery: every,
@@ -130,22 +141,47 @@ func TestSleepingMatchesAwake(t *testing.T) {
 					bisect(r.name+" and awake final reports", r.prep)
 				}
 			}
-			var skipped int64
-			for _, ec := range ps.Kernel.EvalCounts() {
-				skipped += ec.Skipped
+			if pa.Telemetry() != nil {
+				want := ndjson(t, pa)
+				for _, r := range runs {
+					if !bytes.Equal(ndjson(t, r.p), want) {
+						bisect(r.name+" and awake telemetry streams", r.prep)
+					}
+				}
 			}
-			if skipped == 0 {
-				t.Fatal("the sleeping run skipped no evaluation")
+			for _, r := range runs {
+				var skipped int64
+				for _, ec := range r.p.Kernel.EvalCounts() {
+					skipped += ec.Skipped
+				}
+				if skipped == 0 {
+					t.Fatalf("the %s run skipped no evaluation", r.name)
+				}
 			}
 		})
 	}
 }
 
+// ndjson renders every telemetry record p collected as NDJSON bytes.
+func ndjson(t *testing.T, p *platform.Platform) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	s := telemetry.NewStreamer(&b, p.Telemetry())
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s.Skipped() != 0 || b.Len() == 0 {
+		t.Fatalf("telemetry stream lost %d records (%d bytes kept)", s.Skipped(), b.Len())
+	}
+	return b.Bytes()
+}
+
 // TestEvalCountsReference pins the kernel's evaluation tally for the
 // reference spec at scale 1. The counts are deterministic; a change to
 // them means the scheduling changed. Components able to sleep — STBus
-// nodes, bridge sides and IPTGs on this platform — must skip at least 40%
-// of their evaluations.
+// nodes, bridge sides, IPTGs and the DSP core on this platform — must skip
+// at least 75% of their evaluations, and the kernel may run at most 600,000
+// evaluations in all.
 func TestEvalCountsReference(t *testing.T) {
 	s := platform.DefaultSpec()
 	s.WorkloadScale = 1
@@ -154,24 +190,28 @@ func TestEvalCountsReference(t *testing.T) {
 		t.Fatal("reference run did not drain")
 	}
 	want := []sim.EvalCount{
-		{Clock: "central", Run: 320068, Skipped: 150412, SleeperRun: 261258},
-		{Clock: "n1_decrypt", Run: 34550, Skipped: 82600, SleeperRun: 34550},
-		{Clock: "n2_decode", Run: 63067, Skipped: 78077, SleeperRun: 63067},
-		{Clock: "n3_audio", Run: 14914, Skipped: 110230, SleeperRun: 14914},
-		{Clock: "n4_resize", Run: 71062, Skipped: 46088, SleeperRun: 71062},
-		{Clock: "n5_dma", Run: 241174, Skipped: 52876, SleeperRun: 241174},
-		{Clock: "cpu", Run: 108253, Skipped: 174035, SleeperRun: 14157},
+		{Clock: "central", Run: 180931, Skipped: 289549, SleeperRun: 122121},
+		{Clock: "n1_decrypt", Run: 22415, Skipped: 94735, SleeperRun: 22415},
+		{Clock: "n2_decode", Run: 24393, Skipped: 116751, SleeperRun: 24393},
+		{Clock: "n3_audio", Run: 13318, Skipped: 111826, SleeperRun: 13318},
+		{Clock: "n4_resize", Run: 13407, Skipped: 103743, SleeperRun: 13407},
+		{Clock: "n5_dma", Run: 94215, Skipped: 199835, SleeperRun: 94215},
+		{Clock: "cpu", Run: 26671, Skipped: 255617, SleeperRun: 26671},
 	}
 	got := p.Kernel.EvalCounts()
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("eval counts drifted:\ngot  %+v\nwant %+v", got, want)
 	}
-	var skipped, sleeperRun int64
+	var run, skipped, sleeperRun int64
 	for _, ec := range got {
+		run += ec.Run
 		skipped += ec.Skipped
 		sleeperRun += ec.SleeperRun
 	}
-	if frac := float64(skipped) / float64(skipped+sleeperRun); frac < 0.4 {
-		t.Fatalf("sleep-capable components skipped %.1f%% of their evaluations, want >= 40%%", 100*frac)
+	if frac := float64(skipped) / float64(skipped+sleeperRun); frac < 0.75 {
+		t.Fatalf("sleep-capable components skipped %.1f%% of their evaluations, want >= 75%%", 100*frac)
+	}
+	if run > 600_000 {
+		t.Fatalf("the kernel ran %d evaluations, want <= 600000", run)
 	}
 }

@@ -52,7 +52,8 @@ func (p *Platform) Telemetry() *telemetry.Collector { return p.tele }
 // (Collect writes into preallocated ring rows). The snapshot instant is the
 // central edge of cycle teleNext, whose absolute time is exactly
 // cycle*period — p.Kernel.Now() is not used because the platform kernel's
-// clock is stale during a sharded run.
+// clock is stale during a sharded run. Sleeping components are settled
+// first: some counters are credited only when read.
 func (p *Platform) pollTelemetry() {
 	if p.tele == nil {
 		return
@@ -60,6 +61,7 @@ func (p *Platform) pollTelemetry() {
 	if c := p.CentralClk.Cycles(); c >= p.teleNext {
 		p.teleLastCycle = c
 		p.teleNext += p.teleEvery
+		p.settle()
 		p.tele.Collect(c, c*p.CentralClk.PeriodPS())
 	}
 }
@@ -75,6 +77,7 @@ func (p *Platform) finishTelemetry() {
 	}
 	if c := p.CentralClk.Cycles(); c != p.teleLastCycle {
 		p.teleLastCycle = c
+		p.settle()
 		p.tele.Collect(c, p.Kernel.Now())
 	}
 	p.tele.Finish()
@@ -104,6 +107,7 @@ func (p *Platform) attachStallTrackers() {
 // progress, so a stall report can show exactly which counters still moved
 // during the final (wedged) window. Allocation-free (the two buffers swap).
 func (p *Platform) observeWatchdogCounters() {
+	p.settle()
 	p.wdCounters, p.wdPrevCounters = p.wdPrevCounters, p.wdCounters
 	for i, c := range p.Metrics.Counters() {
 		p.wdCounters[i] = metrics.CounterValue{Name: c.Name(), Value: c.Value()}
@@ -146,6 +150,7 @@ func (p *Platform) StallReport(reason string, topFifos int) *telemetry.StallRepo
 	if topFifos <= 0 {
 		topFifos = 10
 	}
+	p.settle()
 	rep := &telemetry.StallReport{
 		Reason: reason,
 		Cycle:  p.CentralClk.Cycles(),

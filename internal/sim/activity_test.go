@@ -44,6 +44,7 @@ func (s *sink) Update() {
 	if s.ain != nil {
 		s.ain.ReaderUpdate()
 	}
+	s.act.Rest(s)
 }
 
 func (s *sink) Quiescent() bool { return s.in.Len() == 0 && (s.ain == nil || s.ain.Empty()) }
@@ -56,7 +57,8 @@ func (s *sink) Credit(evals, updates int64) {
 func (s *sink) Activity() *Activity { return &s.act }
 
 // hidden wraps a component behind the bare Clocked interface, hiding any
-// Sleeper methods, so the kernel keeps it awake.
+// Sleeper methods. A Sleeper only ever registered behind it is bound to no
+// clock, so it never sleeps.
 type hidden struct{ Clocked }
 
 // driver pushes pseudo-random values into a sink's inputs on its own clock.
@@ -290,5 +292,254 @@ func TestPinKeepsAwake(t *testing.T) {
 	}
 	if s.evals != 8 {
 		t.Fatalf("evals = %d, want 8", s.evals)
+	}
+}
+
+// source is a test Sleeper that owns the FIFO it produces into: each Eval
+// pushes the next value if there is room, and it sleeps while the FIFO is
+// full, until a pop wakes it to commit the pop.
+type source struct {
+	out   *Fifo[int]
+	next  int
+	evals int64
+	quiet bool
+	act   Activity
+}
+
+func newSource(depth int) *source {
+	s := &source{out: NewFifo[int]("src.out", depth)}
+	s.out.SetProducer(&s.act)
+	return s
+}
+
+func (s *source) Eval() {
+	s.evals++
+	s.quiet = !s.out.CanPush()
+	if !s.quiet {
+		s.next++
+		s.out.Push(s.next)
+	}
+}
+
+func (s *source) Update() {
+	s.out.Update()
+	s.act.Rest(s)
+}
+
+func (s *source) Quiescent() bool { return s.quiet }
+
+func (s *source) Credit(evals, updates int64) {
+	s.evals += evals
+	s.out.Idle(updates)
+}
+
+func (s *source) Activity() *Activity { return &s.act }
+
+// popper builds a component that takes one entry from f on each listed
+// cycle of clk — the oldest by Pop, or the second by RemoveAt when inner is
+// set — logging what it took and the FIFO's committed length.
+func popper(clk *Clock, f *Fifo[int], log *[]string, inner bool, at ...int64) Clocked {
+	return &ClockedFunc{OnEval: func() {
+		for _, c := range at {
+			if clk.Cycles() != c {
+				continue
+			}
+			v := 0
+			if inner {
+				v = f.RemoveAt(1)
+			} else {
+				v = f.Pop()
+			}
+			*log = append(*log, fmt.Sprintf("took %d len %d @%d", v, f.Len(), c))
+		}
+	}}
+}
+
+// TestPopWakesOwningProducer pins the producer wake: a pop from a full FIFO
+// wakes the producer sleeping on it, whose Update commits the pop on the
+// same edge — whether the popper evaluates before or after it — and the
+// next value goes in exactly when an always-awake producer pushes it. A
+// RemoveAt frees its slot during the Eval phase, so a producer evaluated
+// after the remover pushes into it on the same edge.
+func TestPopWakesOwningProducer(t *testing.T) {
+	for _, inner := range []bool{false, true} {
+		for _, popperFirst := range []bool{true, false} {
+			t.Run(fmt.Sprintf("removeAt=%v/popperFirst=%v", inner, popperFirst), func(t *testing.T) {
+				run := func(awake bool) ([]string, *source) {
+					k := NewKernel()
+					c := k.NewClockPeriodPS("c", 1000)
+					s := newSource(2)
+					if awake {
+						s.act.Pin()
+					}
+					var log []string
+					p := popper(c, s.out, &log, inner, 10, 30)
+					if popperFirst {
+						c.Register(p)
+						c.Register(s)
+					} else {
+						c.Register(s)
+						c.Register(p)
+					}
+					for c.Cycles() < 40 {
+						k.Step()
+						if c.Cycles() == 10 && !awake && !s.act.Asleep() {
+							t.Fatal("producer of a full FIFO did not fall asleep")
+						}
+						// The committed state after every edge: a pop the
+						// sleeping producer failed to commit shows here.
+						log = append(log, fmt.Sprintf("len %d last %d", s.out.Len(), s.out.PeekAt(s.out.Len()-1)))
+					}
+					k.Settle()
+					return log, s
+				}
+				want, ws := run(true)
+				got, gs := run(false)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("sleeping producer:\n%v\nawake producer:\n%v", got, want)
+				}
+				if gs.evals != ws.evals || gs.out.Stats() != ws.out.Stats() {
+					t.Fatalf("settled producer evals %d stats %+v, awake %d %+v", gs.evals, gs.out.Stats(), ws.evals, ws.out.Stats())
+				}
+			})
+		}
+	}
+}
+
+// watcher is a test Sleeper waiting on state shared outside any FIFO: it
+// sleeps while the gate is closed, and whoever opens the gate wakes it.
+type watcher struct {
+	clk   *Clock
+	gate  *bool
+	log   *[]string
+	evals int64
+	quiet bool
+	act   Activity
+}
+
+func (w *watcher) Eval() {
+	w.evals++
+	w.quiet = !*w.gate
+	if *w.gate {
+		*w.log = append(*w.log, fmt.Sprintf("saw gate @%d", w.clk.Cycles()))
+		*w.gate = false
+	}
+}
+
+func (w *watcher) Update()               { w.act.Rest(w) }
+func (w *watcher) Quiescent() bool       { return w.quiet }
+func (w *watcher) Credit(evals, _ int64) { w.evals += evals }
+func (w *watcher) Activity() *Activity   { return &w.act }
+
+// TestPreciseMidEdgeWake pins the sweep rule of Activity.Wake: a wake that
+// arrives before the sweep reaches the woken slot in this instant lets it
+// evaluate on this edge, and one that arrives after skips only its Eval.
+// Either way the watcher sees the opened gate on the edge an always-awake
+// watcher sees it, and its settled evaluation count is the awake one. The
+// opener sits on the watcher's clock, before or after it, or on a second
+// clock firing in the same instants, sorted before or after it.
+func TestPreciseMidEdgeWake(t *testing.T) {
+	cases := []struct {
+		name      string
+		openerClk string // "" shares the watcher's clock "w"
+		first     bool   // the opener registers before the watcher
+	}{
+		{"same-clock/before", "", true},
+		{"same-clock/after", "", false},
+		{"other-clock/before", "a", false},
+		{"other-clock/after", "z", false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(awake bool) ([]string, int64, EvalCount) {
+				k := NewKernel()
+				wc := k.NewClockPeriodPS("w", 2000)
+				oc := wc
+				if tc.openerClk != "" {
+					oc = k.NewClockPeriodPS(tc.openerClk, 1000)
+				}
+				var log []string
+				gate := false
+				w := &watcher{clk: wc, gate: &gate, log: &log}
+				if awake {
+					w.act.Pin()
+				}
+				opener := &ClockedFunc{OnEval: func() {
+					if n := oc.Cycles(); n == 20 || n == 21 || n == 50 {
+						gate = true
+						w.act.Wake()
+					}
+				}}
+				if tc.first {
+					wc.Register(opener)
+					wc.Register(w)
+				} else {
+					wc.Register(w)
+					oc.Register(opener)
+				}
+				k.RunUntil(80_000)
+				k.Settle()
+				return log, w.evals, k.EvalCounts()[0]
+			}
+			want, wantEvals, _ := run(true)
+			got, gotEvals, ec := run(false)
+			if len(want) == 0 || !reflect.DeepEqual(got, want) {
+				t.Fatalf("sleeping watcher %v, awake watcher %v", got, want)
+			}
+			if gotEvals != wantEvals {
+				t.Fatalf("settled watcher evals = %d, awake %d", gotEvals, wantEvals)
+			}
+			if ec.Skipped == 0 {
+				t.Fatalf("the watcher never slept: %+v", ec)
+			}
+		})
+	}
+}
+
+// counted wraps a component, hiding any Sleeper methods, and counts the
+// calls the kernel makes to it.
+type counted struct {
+	Clocked
+	evals, updates int
+}
+
+func (c *counted) Eval()   { c.evals++; c.Clocked.Eval() }
+func (c *counted) Update() { c.updates++; c.Clocked.Update() }
+
+// TestWrapperSleepsWithInnerSleeper pins sleep by slot: a Sleeper taken off
+// its clock and registered again behind a wrapper puts the wrapper's slot
+// to sleep, so the kernel calls neither the wrapper's Eval nor its Update
+// while the Sleeper sleeps, and a push wakes the slot.
+func TestWrapperSleepsWithInnerSleeper(t *testing.T) {
+	k := NewKernel()
+	c := k.NewClockPeriodPS("c", 1000)
+	var log []string
+	s := newSink("s", c, &log, nil)
+	c.Register(s)
+	w := &counted{Clocked: c.TakeComponents()[0]}
+	c.Register(w)
+	k.RunCycles(c, 5)
+	if !s.act.Asleep() || w.evals != 1 || w.updates != 1 {
+		t.Fatalf("after 5 idle edges: asleep=%v, wrapper called %d/%d times, want asleep after 1/1",
+			s.act.Asleep(), w.evals, w.updates)
+	}
+	c.Register(&ClockedFunc{OnEval: func() {
+		if c.Cycles() == 10 {
+			s.in.Push(1)
+		}
+	}})
+	k.RunCycles(c, 10)
+	k.Settle()
+	if want := []string{"s:1@11"}; !reflect.DeepEqual(log, want) {
+		t.Fatalf("log = %v, want %v", log, want)
+	}
+	// Edge 0 ran and rested; edge 10 ran only the Update (the push came
+	// after the sweep); edge 11 popped and rested.
+	if w.evals != 2 || w.updates != 3 || s.evals != 15 {
+		t.Fatalf("wrapper called %d/%d times, sink evals %d; want 2/3 and 15", w.evals, w.updates, s.evals)
+	}
+	// The slot counts as able to sleep from its first sleep on.
+	if ec := k.EvalCounts()[0]; ec.SleeperRun != 1 {
+		t.Fatalf("sleeper evaluations = %d, want 1 (edge 11): %+v", ec.SleeperRun, ec)
 	}
 }

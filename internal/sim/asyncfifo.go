@@ -39,8 +39,9 @@ type AsyncFifo[T any] struct {
 	pending []T
 	npop    int
 
-	// consumer is the reader component's sleep record; Push wakes it.
-	consumer *Activity
+	// producer and consumer are the writer's and the reader's sleep
+	// records; Push wakes the reader, Pop the writer.
+	producer, consumer *Activity
 }
 
 type asyncEntry[T any] struct {
@@ -105,19 +106,24 @@ func (f *AsyncFifo[T]) Push(v T) {
 	if !f.CanPush() {
 		panic(fmt.Sprintf("sim: push to full async fifo %q", f.name))
 	}
-	f.pending = append(f.pending, v)
-	if a := f.consumer; a != nil && a.asleep {
+	if a := f.consumer; a != nil {
 		a.Wake()
 	}
+	f.pending = append(f.pending, v)
 }
 
 // SetConsumer records the reader component's sleep record; every Push wakes
 // it, whatever its clock domain.
 func (f *AsyncFifo[T]) SetConsumer(a *Activity) { f.consumer = a }
 
+// SetProducer records the writer component's sleep record; every Pop wakes
+// it, whatever its clock domain.
+func (f *AsyncFifo[T]) SetProducer(a *Activity) { f.producer = a }
+
 // Empty reports whether the FIFO holds nothing, mature or not, committed or
-// staged by the writer. A reader may sleep only on an empty crossing: an
-// entry still maturing would become poppable with no push to wake it.
+// staged by the writer. A reader with room to take an entry may sleep only
+// on an empty crossing: an entry still maturing would become poppable with
+// no push to wake it.
 func (f *AsyncFifo[T]) Empty() bool { return len(f.cur) == 0 && len(f.pending) == 0 }
 
 // CanPop reports whether a mature entry is available to the reader.
@@ -137,6 +143,9 @@ func (f *AsyncFifo[T]) Peek() T {
 func (f *AsyncFifo[T]) Pop() T {
 	if !f.CanPop() {
 		panic(fmt.Sprintf("sim: pop from empty async fifo %q", f.name))
+	}
+	if a := f.producer; a != nil {
+		a.Wake()
 	}
 	v := f.cur[f.npop].v
 	f.npop++

@@ -40,9 +40,11 @@ import "fmt"
 //
 // # Wakes
 //
-// SetConsumer wires the sleep record of the component that pops (DESIGN.md
-// §20): every Push wakes it, in time for its Update on the same edge. Ports
-// wire both parties where they are built and attached (internal/bus).
+// SetConsumer and SetProducer wire the sleep records of the component that
+// pops and the component that pushes (DESIGN.md §20): every Push wakes the
+// consumer and every Pop or RemoveAt wakes the producer, in time for the
+// owner's Update to commit the operation on the same edge. Ports wire both
+// parties where they are built and attached (internal/bus).
 type Fifo[T any] struct {
 	name  string
 	depth int
@@ -58,7 +60,7 @@ type Fifo[T any] struct {
 
 	// producer and consumer are the sleep records of the pushing and the
 	// popping component (nil when that party cannot sleep); Push wakes the
-	// consumer.
+	// consumer, Pop and RemoveAt wake the producer.
 	producer, consumer *Activity
 
 	// occupancy statistics (committed state, sampled at Update)
@@ -115,15 +117,17 @@ func (f *Fifo[T]) Push(v T) {
 	if !f.CanPush() {
 		panic(fmt.Sprintf("sim: push to full fifo %q (depth %d)", f.name, f.depth))
 	}
-	f.buf[f.slot(f.n+f.npush)] = v
-	f.npush++
-	if a := f.consumer; a != nil && a.asleep {
+	// Wakes come first: a sleeping owner is credited its slept commits
+	// against the state they saw.
+	if a := f.consumer; a != nil {
 		a.Wake()
 	}
+	f.buf[f.slot(f.n+f.npush)] = v
+	f.npush++
 }
 
-// SetProducer records the sleep record of the component that pushes. Only
-// MarkDeferred reads it, to pin that party awake.
+// SetProducer records the sleep record of the component that pushes; every
+// Pop and RemoveAt wakes it.
 func (f *Fifo[T]) SetProducer(a *Activity) { f.producer = a }
 
 // SetConsumer records the sleep record of the component that pops; every
@@ -183,6 +187,11 @@ func (f *Fifo[T]) RemoveAt(i int) T {
 	if i < 0 || idx >= f.n {
 		panic(fmt.Sprintf("sim: removeAt(%d) out of range on fifo %q", i, f.name))
 	}
+	// The slot is free at once: a producer evaluated later on this edge
+	// may already push into it.
+	if a := f.producer; a != nil {
+		a.Wake()
+	}
 	v := f.buf[f.slot(idx)]
 	// Close the gap in place: shift the younger committed entries and any
 	// pushes staged this cycle down one slot, then clear the vacated slot
@@ -201,6 +210,9 @@ func (f *Fifo[T]) RemoveAt(i int) T {
 func (f *Fifo[T]) Pop() T {
 	if !f.CanPop() {
 		panic(fmt.Sprintf("sim: pop from empty fifo %q", f.name))
+	}
+	if a := f.producer; a != nil {
+		a.Wake()
 	}
 	v := f.buf[f.slot(f.npop)]
 	f.npop++
@@ -230,8 +242,9 @@ func (f *Fifo[T]) Update() {
 // for whole windows either way, so a checkpoint-restored platform (whose
 // boundary FIFOs legitimately hold in-flight traffic) shards safely.
 //
-// Both parties are pinned awake (Activity.Pin) and Push stops waking: the
-// two sides run on different goroutines, so no wake may cross between them.
+// Both parties are pinned awake (Activity.Pin) and neither Push nor Pop
+// wakes anything any more: the two sides run on different goroutines, so no
+// wake may cross between them.
 func (f *Fifo[T]) MarkDeferred() {
 	if f.npush != 0 || f.npop != 0 {
 		panic(fmt.Sprintf("sim: MarkDeferred on fifo %q with staged operations (npush=%d npop=%d)", f.name, f.npush, f.npop))
@@ -241,7 +254,7 @@ func (f *Fifo[T]) MarkDeferred() {
 			a.Pin()
 		}
 	}
-	f.consumer = nil
+	f.producer, f.consumer = nil, nil
 	f.deferred = true
 }
 

@@ -11,10 +11,11 @@
 // cycle N is visible to readers in cycle N+1 regardless of evaluation order.
 //
 // Scheduling is activity-driven (DESIGN.md §20): a component implementing
-// Sleeper that reports itself Quiescent after its Update sleeps — the
-// kernel skips its Eval and Update — until a push into one of the FIFOs it
-// consumes wakes it. Every other component is evaluated on every edge of
-// its clock.
+// Sleeper ends its Update with Activity.Rest, and when it is Quiescent the
+// kernel slot it occupies sleeps — its Eval and Update are skipped — until
+// something it waits on changes: a push into a FIFO it consumes, a pop from
+// a FIFO it produces, or an explicit Activity.Wake. Every other component
+// is evaluated on every edge of its clock.
 package sim
 
 import (
@@ -26,9 +27,9 @@ import (
 // Clocked is implemented by every synchronous component. Eval runs first on
 // each edge of the component's clock on which it is awake and may read
 // current state and stage writes; Update commits staged state. No component
-// may observe another component's staged (pre-Update) state, and pushes are
-// staged only in Eval (so the wake a push triggers always lands before the
-// edge's Update phase).
+// may observe another component's staged (pre-Update) state, and pushes and
+// pops are staged only in Eval (so the wake they trigger always lands before
+// the edge's Update phase).
 type Clocked interface {
 	Eval()
 	Update()
@@ -54,25 +55,24 @@ func (c *ClockedFunc) Update() {
 	}
 }
 
-// Sleeper is the optional interface of a component that can declare itself
-// idle. After each Update the kernel asks Quiescent; on true the component
-// sleeps: the kernel calls neither its Eval nor its Update until a push into
-// a FIFO wired to its Activity (Fifo.SetConsumer, AsyncFifo.SetConsumer)
-// wakes it, in time for its Update on the pushing edge to commit the push.
+// Sleeper is the optional interface of a component that can sleep through
+// edges on which it would change nothing observable. Its Update ends with
+// Activity.Rest; if nothing it waits on changed during the edge and
+// Quiescent reports true, the kernel slot being updated — the component's
+// own, or that of a wrapper registered in its place — sleeps: the kernel
+// calls neither its Eval nor its Update until something wakes it. Wakes
+// come from a push into a FIFO it consumes (Fifo.SetConsumer,
+// AsyncFifo.SetConsumer), a pop from a FIFO it produces (SetProducer), or an
+// explicit Activity.Wake by a component sharing other state with it.
 //
-// The contract: Quiescent may return true only if the component's next
-// Eval+Update, with no new input, would change nothing but per-cycle
-// counters (cycle tallies, FIFO occupancy statistics). Credit adds those
-// counters' share of the slept cycles — evals skipped Eval calls and
-// updates skipped Update calls — when the component wakes or is settled
-// (Kernel.Settle). A spurious wake is therefore always correct.
-//
-// A component registered behind a wrapper that hides these methods is not
-// scheduled by the kernel, which calls the wrapper on every edge. It then
-// sleeps on its own: its Update ends with Activity.SelfSleep, and while it
-// sleeps its Eval and Update return at once (Activity.SkipEval,
-// SkipUpdate), the skipped calls being credited at the wake or at the
-// component's own Settle. Pin keeps a component fully awake either way.
+// The contract: Quiescent may return true only if every edge until the next
+// wake would change nothing but state that Credit(evals, updates) rebuilds
+// exactly from the number of Eval and Update calls skipped — per-cycle
+// counters (cycle and stall tallies, FIFO occupancy statistics, see
+// Fifo.Idle) and closed-form autonomous state such as a countdown
+// saturating at zero. Credit runs when the component wakes or is settled
+// (Kernel.Settle). Every source of a change the component waits on must
+// wake it; a spurious wake is always correct. Pin keeps a component awake.
 type Sleeper interface {
 	Clocked
 	Quiescent() bool
@@ -81,51 +81,61 @@ type Sleeper interface {
 }
 
 // Activity is a Sleeper's sleep record. The component embeds one and
-// returns it from its Activity method; the FIFOs it consumes point at it,
-// so a push reaches it without a lookup.
+// returns it from its Activity method; the FIFOs it consumes and produces
+// point at it, so a push or a pop reaches it without a lookup. Register
+// binds it to the clock the component is registered on; the component keeps
+// that binding when it is taken off the clock and registered again behind a
+// wrapper, and the kernel slot it sleeps in is the one being updated when
+// it rests.
 type Activity struct {
-	asleep bool // Eval and Update are skipped
+	asleep bool // the slot's Eval and Update are skipped
 	pinned bool // never sleeps (see Pin)
-	// A component sleeping on its own (SelfSleep) counts the calls it
-	// skipped until they are credited. They sit next to the flags, which
-	// every call reads.
-	evals, updates int64
+	// stirred records a change the component waits on since its last
+	// Rest, so an edge that stirred it is never slept on.
+	stirred bool
 
-	comp  Sleeper // the component, once registered or asleep
-	clk   *Clock  // the clock scheduling its sleep, nil if none
-	idx   int     // the component's slot on clk
+	comp  Sleeper // the component, once asleep
+	clk   *Clock  // the clock the component was registered on
+	idx   int     // the slot sleeping on clk
 	since int64   // clock cycles completed when the uncredited sleep began
 }
-
-// neverAsleep is the record of every component that cannot sleep. It is
-// only ever read, so kernels on different goroutines share it safely.
-var neverAsleep Activity
 
 // Asleep reports whether the component is sleeping.
 func (a *Activity) Asleep() bool { return a.asleep }
 
-// Wake ends the component's sleep and credits the slept cycles. A wake in
-// the middle of an edge of the component's clock (from a push staged by
-// another component's Eval) skips that edge's Eval but keeps its Update.
-// Waking an awake component does nothing.
+// Wake records that something the component waits on changed and, if it
+// sleeps, ends its sleep and credits the slept edges. It must be called in
+// an Eval or at an edge boundary, never in an Update. In the middle of an
+// edge of the component's clock the sweep position decides: if the kernel
+// has not yet evaluated the component's slot on this edge, the slot runs
+// both its Eval and its Update; if the sweep has passed it, the Eval is
+// skipped (and credited) and only the Update runs.
 func (a *Activity) Wake() {
-	if !a.asleep {
-		return
+	a.stirred = true
+	if a.asleep {
+		a.wake()
 	}
+}
+
+func (a *Activity) wake() {
 	a.asleep = false
 	c := a.clk
-	if c == nil {
-		a.creditSkipped()
-		return
-	}
 	c.nAsleep--
 	n := c.cycle - a.since
 	evals := n
-	if c.nextEdge == c.kernel.nowPS {
-		evals++ // mid-edge: this edge's Eval was skipped, its Update will run
-		c.skip[a.idx] = skipEval
-	} else {
+	switch {
+	case c.nextEdge != c.kernel.nowPS:
+		c.skip[a.idx] = 0 // between edges of the clock
+	case a.idx > c.swept:
+		// The sweep has not reached the slot: it evaluates this edge,
+		// which count tallied as skipped.
 		c.skip[a.idx] = 0
+		c.evalsRun++
+		c.evalsSkipped--
+		c.sleeperEvals++
+	default:
+		evals++ // this edge's Eval is over, its Update will run
+		c.skip[a.idx] = skipEval
 	}
 	a.comp.Credit(evals, n)
 }
@@ -137,62 +147,34 @@ func (a *Activity) Settle() {
 	if !a.asleep {
 		return
 	}
-	c := a.clk
-	if c == nil {
-		a.creditSkipped()
-		return
-	}
-	if n := c.cycle - a.since; n > 0 {
-		a.since = c.cycle
+	if n := a.clk.cycle - a.since; n > 0 {
+		a.since = a.clk.cycle
 		a.comp.Credit(n, n)
 	}
 }
 
-// SelfSleep puts a component the kernel does not schedule (see Sleeper) to
-// sleep when q, the component itself, is quiescent. Call it at the end of
-// Update; for a scheduled component it does nothing, the kernel deciding.
-func (a *Activity) SelfSleep(q Sleeper) {
-	if a.clk == nil && !a.asleep {
-		a.selfSleep(q)
+// Rest ends the Update of a Sleeper q whose record this is. If nothing
+// stirred q since its last Rest and q is Quiescent, the slot the kernel is
+// updating goes to sleep. Called outside the kernel's Update phase of q's
+// clock (a direct call in a test, say) it does nothing.
+func (a *Activity) Rest(q Sleeper) {
+	if a.stirred {
+		a.stirred = false
+		return
+	}
+	if c := a.clk; c != nil && c.upd >= 0 && !a.pinned && q.Quiescent() {
+		a.sleep(q, c)
 	}
 }
 
-// selfSleep is kept out of line so that SelfSleep, called by every Update
-// of a scheduled component, inlines to two tests.
-//
-//go:noinline
-func (a *Activity) selfSleep(q Sleeper) {
-	if !a.pinned && q.Quiescent() {
-		a.asleep, a.comp = true, q
-	}
-}
-
-// SkipEval is called first in the Eval of a Sleeper: it reports whether the
-// component sleeps on its own (SelfSleep), counting the skipped call. A
-// scheduled component is never called while it sleeps.
-func (a *Activity) SkipEval() bool {
-	if !a.asleep {
-		return false
-	}
-	a.evals++
-	return true
-}
-
-// SkipUpdate is SkipEval for Update.
-func (a *Activity) SkipUpdate() bool {
-	if !a.asleep {
-		return false
-	}
-	a.updates++
-	return true
-}
-
-// creditSkipped credits the calls skipped while sleeping on its own.
-func (a *Activity) creditSkipped() {
-	if a.evals != 0 || a.updates != 0 {
-		e, u := a.evals, a.updates
-		a.evals, a.updates = 0, 0
-		a.comp.Credit(e, u)
+func (a *Activity) sleep(q Sleeper, c *Clock) {
+	i := c.upd
+	a.asleep, a.comp, a.idx, a.since = true, q, i, c.cycle+1
+	c.skip[i] = skipEval | skipUpdate
+	c.nAsleep++
+	if s := &c.comps[i]; s.act == nil {
+		s.act = a // a wrapper's slot, asleep for the first time
+		c.nSleepers++
 	}
 }
 
@@ -204,17 +186,18 @@ func (a *Activity) Pin() {
 	a.pinned = true
 }
 
-// slot is one registration: the component and its sleep record
-// (neverAsleep unless it implements Sleeper).
+// slot is one registration: the component and the sleep record of the
+// Sleeper that sleeps in it (nil until one is known: registered directly,
+// or asleep behind a wrapper).
 type slot struct {
 	comp Clocked
 	act  *Activity
 }
 
-// Skip bits of a slot (Clock.skip). A sleeping component skips both calls;
-// one woken in the middle of an edge it slept into skips only that edge's
-// Eval. The bits mirror Activity.asleep in one byte array per clock, so the
-// dispatch loops test a sleeper without touching its memory.
+// Skip bits of a slot (Clock.skip). A sleeping slot skips both calls; one
+// woken in the middle of an edge the sweep has already evaluated skips only
+// that edge's Eval. The bits mirror Activity.asleep in one byte array per
+// clock, so the dispatch loops test a sleeper without touching its memory.
 const (
 	skipEval   = 1
 	skipUpdate = 2
@@ -232,8 +215,14 @@ type Clock struct {
 	skip     []uint8 // skip bits, parallel to comps
 	kernel   *Kernel
 
-	// Activity accounting: registered Sleepers, how many sleep now, and
-	// the per-edge evaluation tallies behind Kernel.EvalCounts.
+	// Sweep position on the current edge: swept is the last slot whose
+	// Eval has been reached (-1 before the clock's Eval phase, len(comps)
+	// after it), upd the slot being updated (-1 outside the Update phase).
+	swept, upd int
+
+	// Activity accounting: slots with a known sleep record, how many
+	// sleep now, and the per-edge evaluation tallies behind
+	// Kernel.EvalCounts.
 	nSleepers    int
 	nAsleep      int
 	evalsRun     int64
@@ -265,14 +254,13 @@ func (c *Clock) NowPS() int64 { return (c.cycle + 1) * c.periodPS }
 // evaluated on every edge in registration order; because all communication
 // is through two-phase FIFOs, the order affects only arbitration tie-breaks
 // internal to a single component, never cross-component value propagation.
-// A component implementing Sleeper may sleep through edges (see Sleeper);
-// it starts awake.
+// A Sleeper's Activity is bound to the clock, so its Rest can put the slot
+// it is updated in to sleep (see Sleeper); it starts awake.
 func (c *Clock) Register(comp Clocked) {
-	s := slot{comp: comp, act: &neverAsleep}
+	s := slot{comp: comp}
 	if sl, ok := comp.(Sleeper); ok {
 		s.act = sl.Activity()
-		s.act.Wake() // from a sleep of its own, behind a wrapper
-		s.act.comp, s.act.clk, s.act.idx = sl, c, len(c.comps)
+		s.act.clk = c
 		c.nSleepers++
 	}
 	c.comps = append(c.comps, s)
@@ -282,30 +270,33 @@ func (c *Clock) Register(comp Clocked) {
 	}
 }
 
-// count tallies the evaluations of the edge about to fire. It runs before
-// any Eval of the edge, when exactly the sleeping components will skip.
+// count tallies the evaluations of the edge about to fire and rewinds the
+// sweep. It runs before any Eval of the edge, when exactly the sleeping
+// slots will skip (a wake ahead of the sweep corrects the tally).
 func (c *Clock) count() {
+	c.swept = -1
 	c.evalsRun += int64(len(c.comps) - c.nAsleep)
 	c.evalsSkipped += int64(c.nAsleep)
 	c.sleeperEvals += int64(c.nSleepers - c.nAsleep)
 }
 
-// eval runs the Eval phase of the current edge on every component that
-// does not skip it.
+// eval runs the Eval phase of the current edge on every slot that does not
+// skip it. The loop re-reads the skip bits, so a slot woken ahead of the
+// sweep is evaluated.
 func (c *Clock) eval() {
-	if c.nAsleep == len(c.comps) {
-		return // the whole domain sleeps (a mid-edge wake still skips Eval)
-	}
-	for i, skip := range c.skip {
-		if skip&skipEval == 0 {
-			c.comps[i].comp.Eval()
+	if c.nAsleep < len(c.comps) {
+		for i, skip := range c.skip {
+			if skip&skipEval == 0 {
+				c.swept = i
+				c.comps[i].comp.Eval()
+			}
 		}
 	}
+	c.swept = len(c.comps)
 }
 
 // update runs the Update phase of the current edge — committing every awake
-// component and putting the Quiescent ones to sleep — and completes the
-// edge.
+// slot, some of which rest into sleep — and completes the edge.
 func (c *Clock) update() {
 	if c.nAsleep < len(c.comps) {
 		c.updateAwake()
@@ -314,32 +305,28 @@ func (c *Clock) update() {
 	c.nextEdge += c.periodPS
 }
 
-// updateAwake calls Update on every component that does not skip it and
-// puts the Quiescent sleepers among them to sleep.
+// updateAwake calls Update on every slot that does not skip it, with upd
+// naming the slot for Activity.Rest.
 func (c *Clock) updateAwake() {
 	for i, skip := range c.skip {
 		if skip&skipUpdate != 0 {
 			continue
 		}
-		s := &c.comps[i]
-		s.comp.Update()
-		if a := s.act; a.clk != nil {
-			if !a.pinned && a.comp.Quiescent() {
-				a.asleep = true
-				a.since = c.cycle + 1
-				c.skip[i] = skipEval | skipUpdate
-				c.nAsleep++
-			} else if skip != 0 {
-				c.skip[i] = 0 // the edge a mid-edge wake landed in is over
-			}
+		if skip != 0 {
+			c.skip[i] = 0 // the edge a mid-edge wake landed in is over
 		}
+		c.upd = i
+		c.comps[i].comp.Update()
 	}
+	c.upd = -1
 }
 
-// settle credits every sleeping component's slept cycles.
+// settle credits every sleeping slot's slept cycles.
 func (c *Clock) settle() {
-	for i := range c.comps {
-		c.comps[i].act.Settle()
+	for _, s := range c.comps {
+		if s.act != nil {
+			s.act.Settle()
+		}
 	}
 }
 
@@ -444,7 +431,7 @@ func (k *Kernel) NewClockPeriodPS(name string, periodPS int64) *Clock {
 	if periodPS <= 0 {
 		panic(fmt.Sprintf("sim: non-positive period %d for clock %q", periodPS, name))
 	}
-	c := &Clock{name: name, periodPS: periodPS, nextEdge: periodPS, kernel: k}
+	c := &Clock{name: name, periodPS: periodPS, nextEdge: periodPS, kernel: k, upd: -1}
 	k.clocks = append(k.clocks, c)
 	k.invalidateSchedule()
 	return c
@@ -721,16 +708,16 @@ func (k *Kernel) AdoptClock(c *Clock) {
 }
 
 // TakeComponents removes and returns the clock's registered components in
-// registration order, waking any that sleep and unscheduling them. Shard assembly uses it on a
-// clock whose components are split across shards (the central domain): the
-// journal of registrations is then replayed onto the per-shard clocks,
-// preserving relative order.
+// registration order, waking any that sleep. Their sleep records stay bound
+// to the clock, so a component registered again behind a wrapper sleeps as
+// before. Shard assembly uses it on a clock whose components are split
+// across shards (the central domain): the journal of registrations is then
+// replayed onto the per-shard clocks, preserving relative order.
 func (c *Clock) TakeComponents() []Clocked {
 	comps := make([]Clocked, len(c.comps))
 	for i, s := range c.comps {
-		if s.act.clk != nil {
+		if s.act != nil && s.act.asleep {
 			s.act.Wake()
-			s.act.clk = nil
 		}
 		comps[i] = s.comp
 	}
@@ -745,7 +732,8 @@ func (c *Clock) TakeComponents() []Clocked {
 // Settle credits every sleeping component's slept cycles without waking it
 // (Activity.Settle), so component counters read exactly as under
 // every-edge evaluation. Call it at an edge boundary before reading
-// per-cycle counters — before a snapshot and before collecting results.
+// counters mid-run or at the end — before a snapshot, a telemetry or
+// watchdog read of the metrics registry, and collecting results.
 func (k *Kernel) Settle() {
 	for _, c := range k.clocks {
 		c.settle()
@@ -754,8 +742,9 @@ func (k *Kernel) Settle() {
 
 // EvalCount is one clock domain's tally of component evaluations since the
 // kernel was built (or restored): Eval calls made, Eval calls skipped
-// because the component slept, and the share of the calls made that went to
-// components able to sleep. It measures the simulator, not the simulated
+// because the slot slept, and the share of the calls made that went to
+// slots able to sleep (a Sleeper registered directly, or a wrapper once the
+// Sleeper behind it has slept). It measures the simulator, not the simulated
 // chip, and is not part of any snapshot or report.
 type EvalCount struct {
 	Clock      string `json:"clock"`

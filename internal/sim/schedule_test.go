@@ -210,7 +210,10 @@ func (d *drain) Eval() {
 		d.in.Pop()
 	}
 }
-func (d *drain) Update()                 { d.in.Update() }
+func (d *drain) Update() {
+	d.in.Update()
+	d.act.Rest(d)
+}
 func (d *drain) Quiescent() bool         { return d.in.Len() == 0 }
 func (d *drain) Credit(_, updates int64) { d.in.Idle(updates) }
 func (d *drain) Activity() *Activity     { return &d.act }

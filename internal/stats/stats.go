@@ -175,6 +175,12 @@ func (p *PhaseTracker) Observe(state string) {
 	if !ok {
 		panic(fmt.Sprintf("stats: unknown state %q", state))
 	}
+	p.ObserveIndex(i)
+}
+
+// ObserveIndex records one cycle in the i-th state given to
+// NewPhaseTracker: Observe without the name lookup, for per-cycle callers.
+func (p *PhaseTracker) ObserveIndex(i int) {
 	p.current[i]++
 	p.total[i]++
 	p.cycle++

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -128,6 +129,29 @@ func TestPhaseTrackerWindows(t *testing.T) {
 	}
 	if len(p.States()) != 3 {
 		t.Fatal("states lost")
+	}
+}
+
+// TestPhaseTrackerObserveIndex checks that observing by state index keeps
+// exactly the windows and totals observing by name keeps.
+func TestPhaseTrackerObserveIndex(t *testing.T) {
+	states := []string{"full", "storing", "norequest"}
+	byName := NewPhaseTracker(7, states...)
+	byIndex := NewPhaseTracker(7, states...)
+	rng := uint64(1)
+	for i := 0; i < 100; i++ {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		k := int(rng>>33) % len(states)
+		byName.Observe(states[k])
+		byIndex.ObserveIndex(k)
+	}
+	if !reflect.DeepEqual(byName.Windows(), byIndex.Windows()) || byName.Cycles() != byIndex.Cycles() {
+		t.Fatal("ObserveIndex windows differ from Observe")
+	}
+	for _, s := range states {
+		if byName.TotalCount(s) != byIndex.TotalCount(s) {
+			t.Fatalf("%s: total %d by index, %d by name", s, byIndex.TotalCount(s), byName.TotalCount(s))
+		}
 	}
 }
 

@@ -50,3 +50,45 @@ func TestNodeSleepContract(t *testing.T) {
 	}
 	testutil.CheckSleepContract(t, 8, 100_000, build)
 }
+
+// TestStalledNodeSleepContract drives one initiator into a slow memory with
+// a one-entry input FIFO, so the node stalls on the full target with the
+// same grant edge after edge, and checks the sleep contract in that state:
+// the grant stalls of the slept edges are credited. With message
+// arbitration the stalled grant is held by an open message lock.
+func TestStalledNodeSleepContract(t *testing.T) {
+	for _, msg := range []bool{false, true} {
+		t.Run(fmt.Sprintf("msgLock=%v", msg), func(t *testing.T) {
+			build := func() *testutil.Rig {
+				k := sim.NewKernel()
+				clk := k.NewClock("clk", 250)
+				node := NewNode("n0", Config{Type: Type3, MaxOutstanding: 8, MessageArbitration: msg, BytesPerBeat: 8}, bus.Single(0))
+				m := mem.New("mem", mem.Config{WaitStates: 12, ReqDepth: 1, RespDepth: 4})
+				var script []*bus.Request
+				for j := 0; j < 16; j++ {
+					r := testutil.Read(uint64(j+1), uint64(j)<<6, 2, 8)
+					r.MsgEnd = j%4 == 3
+					script = append(script, r)
+				}
+				ini := testutil.NewScripted("i0", clk, script)
+				node.AttachInitiator(ini.Port)
+				node.AttachTarget(m.Port())
+				clk.Register(ini)
+				clk.Register(node)
+				clk.Register(m)
+				return &testutil.Rig{
+					Kernel: k,
+					Comps:  []sim.Sleeper{node},
+					Clocks: []*sim.Clock{clk},
+					Encode: node.EncodeState,
+					Done:   ini.Done,
+					Sleeping: func() bool {
+						locked := node.reqCh[0].msgLock >= 0
+						return node.act.Asleep() && !m.Port().Req.CanPush() && ini.Port.Req.CanPop() && locked == msg
+					},
+				}
+			}
+			testutil.CheckSleepContract(t, 4, 100_000, build)
+		})
+	}
+}

@@ -12,8 +12,8 @@
 //   - Type 3: adds shaped packets and out-of-order transaction support;
 //     multiple outstanding, out-of-order delivery allowed.
 //
-// The node is a sim.Sleeper: it sleeps while it has nothing in flight and
-// nothing queued at its inputs (see Quiescent). Per cycle, each target's request channel can
+// The node is a sim.Sleeper: it sleeps while nothing it could do changes
+// from one cycle to the next (see Quiescent). Per cycle, each target's request channel can
 // accept one packet (a read request costs one cycle; a write occupies the
 // channel for its data beats) and each initiator's response channel can
 // deliver one beat. Grant hand-over is free (asynchronous grant propagation,
@@ -128,8 +128,14 @@ type Node struct {
 	attrHead []bool
 
 	// act is the node's sleep record; the attached ports' request and
-	// response pushes wake it.
+	// response pushes, and the pops that drain its targets' request FIFOs
+	// and its initiators' response FIFOs, wake it.
 	act sim.Activity
+	// quiet records that the last Eval changed nothing but the cycle and
+	// grant-stall tallies, stalled how many channels it counted a grant
+	// stall on (see Quiescent).
+	quiet   bool
+	stalled int64
 
 	cycles    int64
 	forwarded int64
@@ -189,15 +195,12 @@ func (n *Node) EnableAttribution(col *attr.Collector, now func() int64) {
 
 // Eval advances request and response paths one node cycle.
 func (n *Node) Eval() {
-	if n.act.SkipEval() {
-		return
-	}
 	n.cycles++
 	if n.attrCol != nil {
 		n.scanAttrHeads()
 	}
-	n.evalRequestPaths()
-	n.evalResponsePaths()
+	reqQuiet := n.evalRequestPaths()
+	n.quiet = n.evalResponsePaths() && reqQuiet
 }
 
 // scanAttrHeads attaches attribution records to requests newly arrived at an
@@ -225,38 +228,36 @@ func (n *Node) scanAttrHeads() {
 
 // Update: the node owns no FIFOs (ports are owned by the attached
 // components), so there is nothing to commit.
-func (n *Node) Update() { n.act.SelfSleep(n) }
+func (n *Node) Update() { n.act.Rest(n) }
 
-// Quiescent reports that the node has no transfer in flight, no message lock
-// to release and nothing queued, committed or staged, at any input: its next
-// Eval would only count a cycle.
-func (n *Node) Quiescent() bool {
-	for t := range n.reqCh {
-		if ch := &n.reqCh[t]; ch.cur != nil || ch.msgLock >= 0 {
-			return false
-		}
-		if r := n.targets[t].Resp; r.Len() != 0 || r.Staged() != 0 {
-			return false
-		}
-	}
-	for _, ip := range n.initiators {
-		if ip.Req.Len() != 0 || ip.Req.Staged() != 0 {
-			return false
-		}
-	}
-	return true
+// Quiescent reports that the last Eval moved nothing: no request channel
+// carried a transfer, none granted or changed its arbitration state, and no
+// target held a response beat. Each target channel either had no eligible
+// head or stalled on a full target input FIFO with arbitration at a fixed
+// point — the same grant, round-robin pointer and message lock. With no
+// input changed (Activity.Rest checks that) every later Eval repeats it,
+// counting a cycle and the same grant stalls, until a push into an input or
+// a pop from a full target FIFO wakes the node.
+func (n *Node) Quiescent() bool { return n.quiet }
+
+// Credit counts the cycles and grant stalls of skipped evaluations.
+func (n *Node) Credit(evals, _ int64) {
+	n.cycles += evals
+	n.grantStalls += evals * n.stalled
 }
-
-// Credit counts the cycles of skipped evaluations.
-func (n *Node) Credit(evals, _ int64) { n.cycles += evals }
 
 // Activity returns the node's sleep record.
 func (n *Node) Activity() *sim.Activity { return &n.act }
 
-func (n *Node) evalRequestPaths() {
+// evalRequestPaths advances every target's request channel and reports
+// whether none moved (see Quiescent), counting the stalled channels.
+func (n *Node) evalRequestPaths() bool {
+	quiet := true
+	n.stalled = 0
 	for t := range n.targets {
 		ch := &n.reqCh[t]
 		if ch.cur != nil {
+			quiet = false
 			ch.busyCycles++
 			ch.beatsLeft--
 			if ch.beatsLeft == 0 {
@@ -265,7 +266,11 @@ func (n *Node) evalRequestPaths() {
 			continue
 		}
 		// arbitration: pick an initiator whose head request decodes to t
+		rr, lock := ch.rr, ch.msgLock
 		init := n.arbitrate(t, ch)
+		if ch.rr != rr || ch.msgLock != lock {
+			quiet = false
+		}
 		if init < 0 {
 			continue
 		}
@@ -273,8 +278,10 @@ func (n *Node) evalRequestPaths() {
 		req := ip.Req.Peek()
 		if !n.targets[t].Req.CanPush() {
 			n.grantStalls++
+			n.stalled++
 			continue // target input FIFO full: no grant this cycle
 		}
+		quiet = false
 		ip.Req.Pop()
 		req.Src = init
 		if n.attrCol != nil {
@@ -315,6 +322,7 @@ func (n *Node) evalRequestPaths() {
 			}
 		}
 	}
+	return quiet
 }
 
 // completeTransfer pushes the fully transferred request into the target FIFO
@@ -387,7 +395,9 @@ func (n *Node) arbitrate(t int, ch *reqChannel) int {
 	return best
 }
 
-func (n *Node) evalResponsePaths() {
+// evalResponsePaths routes response beats back to the initiators and
+// reports whether no target held one (see Quiescent).
+func (n *Node) evalResponsePaths() bool {
 	// Responses pushed this cycle are not poppable yet, so with no target
 	// holding a committed beat no initiator can be served.
 	pending := false
@@ -398,7 +408,7 @@ func (n *Node) evalResponsePaths() {
 		}
 	}
 	if !pending {
-		return
+		return true
 	}
 	for i := range n.initiators {
 		ch := &n.respCh[i]
@@ -432,6 +442,7 @@ func (n *Node) evalResponsePaths() {
 			break
 		}
 	}
+	return false
 }
 
 // retire removes a completed request from the outstanding accounting.
